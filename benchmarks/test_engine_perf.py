@@ -1,10 +1,7 @@
-"""Engine guard: calendar-queue determinism and fastsim speedup gate.
+"""Engine guard: fastsim speedup gate and accuracy.
 
-Three guarantees from the engine overhaul, asserted on every run:
+Two guarantees from the engine overhaul, asserted on every run:
 
-* **bit-identity** — the bucketed calendar queue (the default event
-  calendar) produces byte-for-byte the same simulation results as the
-  binary-heap calendar it replaced, on a full DES deployment run;
 * **throughput gate** — the comparator's auto-selected fastsim engine
   sustains at least **3×** the requests/sec of the forced-DES engine on
   the Figure-7 utilization grid (the target is 10×; typical measured
@@ -24,7 +21,6 @@ Run with::
 """
 
 import json
-import os
 import time
 from pathlib import Path
 
@@ -33,11 +29,8 @@ import pytest
 
 from repro.core.comparator import EdgeCloudComparator
 from repro.core.scenarios import TYPICAL_CLOUD
-from repro.queueing.distributions import Exponential
 from repro.queueing.mmk import MMk
 from repro.sim.fastsim import simulate_fcfs_queue
-from repro.sim.network import ConstantLatency
-from repro.sim.runner import run_deployment
 
 REQUESTS_PER_SITE = 6_000
 SPEEDUP_GATE = 3.0
@@ -45,7 +38,7 @@ SPEEDUP_TARGET = 10.0
 BENCH_PATH = Path(__file__).resolve().parents[1] / "BENCH_engine.json"
 
 _PAYLOAD: dict = {
-    "benchmark": "engine overhaul: calendar queue + fastsim auto-selection",
+    "benchmark": "engine overhaul: fastsim auto-selection",
     "speedup_gate": SPEEDUP_GATE,
     "speedup_target": SPEEDUP_TARGET,
 }
@@ -102,48 +95,6 @@ def grid_timings():
         f"{requests} requests/pass) -> {BENCH_PATH.name}"
     )
     return des_sweep, fastsim_sweep
-
-
-def _timed_des_run(calendar_kind: str):
-    """One full DES deployment run under the given calendar backend."""
-    os.environ["REPRO_CALENDAR"] = calendar_kind
-    try:
-        t0 = time.perf_counter()
-        breakdown = run_deployment(
-            "cloud",
-            sites=5,
-            servers_per_site=2,
-            rate_per_site=18.0,
-            service_dist=Exponential(1.0 / 13.0),
-            latency=ConstantLatency.from_ms(24.0),
-            duration=600.0,
-            seed=7,
-        )
-        seconds = time.perf_counter() - t0
-    finally:
-        del os.environ["REPRO_CALENDAR"]
-    return breakdown, seconds
-
-
-def test_calendar_bit_identical_to_heap():
-    """The calendar queue replays a DES run byte-for-byte vs the heap."""
-    heap_bd, heap_s = _timed_des_run("heap")
-    cal_bd, cal_s = _timed_des_run("calendar")
-    assert len(heap_bd) == len(cal_bd) and len(heap_bd) > 5_000
-    for field in ("end_to_end", "wait", "service", "network", "created"):
-        np.testing.assert_array_equal(
-            getattr(heap_bd, field),
-            getattr(cal_bd, field),
-            err_msg=f"calendar queue drifted from heap on {field!r}",
-        )
-    _PAYLOAD["calendar_vs_heap"] = {
-        "requests": len(heap_bd),
-        "seconds_heap": round(heap_s, 3),
-        "seconds_calendar": round(cal_s, 3),
-        "calendar_speedup": round(heap_s / cal_s, 3),
-        "bit_identical": True,
-    }
-    _flush_payload()
 
 
 def test_fastsim_speedup_gate(grid_timings):

@@ -736,8 +736,8 @@ class ExactTimeEqualityRule(Rule):
     """RPR012: exact float equality between time-valued quantities.
 
     Virtual time is accumulated floating-point arithmetic: two paths to
-    "the same instant" (``arrival + service`` vs a calendar-bucket
-    rounding) can differ in the last ulp, so ``==`` / ``!=`` between
+    "the same instant" (``(a + b) + c`` vs ``a + (b + c)``) can
+    differ in the last ulp, so ``==`` / ``!=`` between
     time-valued expressions encodes a comparison that is true on one
     platform and false on another.  Compare with a tolerance
     (``math.isclose``/``abs(a - b) < eps``) or, where the engine

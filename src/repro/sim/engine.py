@@ -5,12 +5,12 @@ master random generator.  Events are plain callbacks; ties in time are
 broken deterministically by insertion order, so a run is fully
 reproducible given its seed.
 
-The calendar is pluggable (:mod:`repro.sim.calendar`): the default is a
-bucketed calendar queue with O(1) amortized scheduling; ``calendar=
-"heap"`` (or ``REPRO_CALENDAR=heap``) selects the classic binary heap.
-Both pop in exact ``(time, insertion-seq)`` order, so results are
-bit-identical whichever backend is active — pinned by the engine tests
-and the golden campaign matrix.
+Pending events live in one binary heap (a plain list under
+:mod:`heapq`) of ``(time, seq, callback, args)`` entries.  ``(time,
+seq)`` is unique, so entries pop in exact ``(time, insertion-seq)``
+order and the callbacks are never compared.  The simulated deployments
+hold at most a few dozen pending events, where ``heapq`` beats bucketed
+calendar queues (``docs/performance.md`` §7.1).
 
 The engine is deliberately minimal (schedule / run / stop): processes
 like stations and sources are built on top as callback-driven state
@@ -20,9 +20,10 @@ generator-based process abstraction for this workload shape.
 
 from __future__ import annotations
 
-import os
-from itertools import count
 from collections.abc import Callable, Iterable
+from heapq import heappop, heappush
+from itertools import count
+from math import inf
 from typing import Any
 
 import numpy as np
@@ -30,7 +31,6 @@ import numpy as np
 from repro.analysis.invariants import checker_for_new_simulation
 from repro.obs.provider import current_telemetry
 from repro.parallel.seeding import seed_sequence, spawn_child
-from repro.sim.calendar import CalendarQueue, HeapCalendar
 
 __all__ = ["EventBudgetExceeded", "Simulation"]
 
@@ -62,26 +62,24 @@ class EventBudgetExceeded(RuntimeError):
 # invariant guards: the zero-cost-when-off property is structural, not a
 # runtime branch (pinned by the on/off bit-identity tests).
 _LOOP_TEMPLATE = """\
-def _dispatch(sim, calendar, until, max_events, invariants):
-    peek = calendar.peek
-    pop = calendar.pop
+def _dispatch(sim, heap, until, max_events, invariants):
+    horizon = inf if until is None else until
 {budget_init}
     while not sim._stopped:
-        head = peek()
-        if head is None:
+        if not heap:
             # Calendar drained: nothing can ever fire again.
             if until is not None and until > sim.now:
                 sim.now = until
             return
-        time = head[0]
-        if until is not None and time > until:
+        time = heap[0][0]
+        if time > horizon:
             sim.now = until
             return
 {budget_check}
-        pop()
+        _, _, callback, args = heappop(heap)
 {check_pre}
         sim.now = time
-        head[2](*head[3])
+        callback(*args)
 {check_post}
 {budget_count}
     # stopped: leave the clock where the last event put it
@@ -107,7 +105,11 @@ def _build_dispatch(budgeted: bool, checked: bool):
         ),
         budget_count="        executed += 1" if budgeted else "",
     )
-    namespace: dict[str, Any] = {"EventBudgetExceeded": EventBudgetExceeded}
+    namespace: dict[str, Any] = {
+        "EventBudgetExceeded": EventBudgetExceeded,
+        "heappop": heappop,
+        "inf": inf,
+    }
     filename = f"<repro.sim.engine dispatch budgeted={budgeted} checked={checked}>"
     exec(compile(src, filename, "exec"), namespace)
     return namespace["_dispatch"]
@@ -134,12 +136,6 @@ class Simulation:
         (:func:`repro.obs.install`); the default is ``None`` — no
         telemetry, and the simulator runs exactly as before the
         observability layer existed.
-    calendar:
-        Event-calendar backend: ``"calendar"`` (bucketed calendar queue,
-        the default) or ``"heap"`` (binary heap).  ``None`` consults the
-        ``REPRO_CALENDAR`` environment variable, falling back to
-        ``"calendar"``.  Both produce bit-identical runs; the knob exists
-        for benchmarking and for pinning the equivalence in tests.
 
     Attributes
     ----------
@@ -153,7 +149,7 @@ class Simulation:
         hot path never pays for disabled observability.
     """
 
-    def __init__(self, seed: int | None = 0, telemetry=None, calendar: str | None = None):
+    def __init__(self, seed: int | None = 0, telemetry=None):
         self.now: float = 0.0
         self._seedseq = seed_sequence(seed)
         self.rng = np.random.default_rng(self._seedseq)
@@ -164,14 +160,8 @@ class Simulation:
         # unless REPRO_CHECK is set, and every hook site guards on that —
         # the disabled hot paths are exactly the pre-checker ones.
         self.invariants = checker_for_new_simulation()
-        kind = calendar if calendar is not None else os.environ.get("REPRO_CALENDAR", "calendar")
-        if kind == "calendar":
-            self._calendar: CalendarQueue | HeapCalendar = CalendarQueue()
-        elif kind == "heap":
-            self._calendar = HeapCalendar()
-        else:
-            raise ValueError(f"calendar must be 'calendar' or 'heap', got {kind!r}")
-        self.calendar_kind = kind
+        # Pending (time, seq, callback, args) entries, heap-ordered.
+        self._heap: list[tuple[float, int, Callable[..., None], tuple]] = []
         self._seq = count()
         self._running = False
         self._stopped = False
@@ -198,13 +188,13 @@ class Simulation:
         """
         if delay < 0:
             raise ValueError(f"delay must be >= 0, got {delay}")
-        self._calendar.push((self.now + delay, next(self._seq), callback, args))
+        heappush(self._heap, (self.now + delay, next(self._seq), callback, args))
 
     def schedule_at(self, time: float, callback: Callable[..., None], *args: Any) -> None:
         """Schedule ``callback(*args)`` at absolute virtual ``time``."""
         if time < self.now:
             raise ValueError(f"cannot schedule at {time} < now ({self.now})")
-        self._calendar.push((time, next(self._seq), callback, args))
+        heappush(self._heap, (time, next(self._seq), callback, args))
 
     def schedule_batch(
         self, delays: Iterable[float], callback: Callable[..., None], *args: Any
@@ -213,17 +203,17 @@ class Simulation:
 
         Semantically identical to calling :meth:`schedule` for each delay
         in turn — insertion sequence numbers (the deterministic tie-break)
-        are allocated in iteration order — but the calendar is touched
-        through one bound method in one loop, so sources and stations can
-        insert runs of events without per-call dispatch overhead.
+        are allocated in iteration order — but in one loop, so sources
+        and stations can insert runs of events without per-call method
+        dispatch.
         """
         now = self.now
-        push = self._calendar.push
+        heap = self._heap
         seq = self._seq
         for delay in delays:
             if delay < 0:
                 raise ValueError(f"delay must be >= 0, got {delay}")
-            push((now + delay, next(seq), callback, args))
+            heappush(heap, (now + delay, next(seq), callback, args))
 
     def run(self, until: float | None = None, max_events: int | None = None) -> float:
         """Execute events in time order.
@@ -254,10 +244,10 @@ class Simulation:
         invariants = self.invariants
         dispatch = _DISPATCH[(max_events is not None, invariants is not None)]
         try:
-            dispatch(self, self._calendar, until, max_events, invariants)
+            dispatch(self, self._heap, until, max_events, invariants)
         finally:
             self._running = False
-        if self.telemetry is not None and not self._calendar:
+        if self.telemetry is not None and not self._heap:
             # The calendar drained: nothing can ever be scheduled again,
             # so the run is over — flush the partial window and emit the
             # run summary (idempotent).
@@ -265,7 +255,7 @@ class Simulation:
         if invariants is not None:
             # Conservation holds at every event boundary, so each run()
             # return (drained or `until`-paused) is a valid checkpoint.
-            invariants.check_stations("run end" if not self._calendar else "run pause")
+            invariants.check_stations("run end" if not self._heap else "run pause")
         return self.now
 
     def stop(self) -> None:
@@ -275,7 +265,7 @@ class Simulation:
     @property
     def pending_events(self) -> int:
         """Number of events still in the calendar."""
-        return len(self._calendar)
+        return len(self._heap)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Simulation(now={self.now:.6f}, pending={self.pending_events})"

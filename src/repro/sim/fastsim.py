@@ -84,12 +84,12 @@ def _kw_heap(a: np.ndarray, s: np.ndarray, servers: int) -> np.ndarray:
     arrivals = a.tolist()
     services = s.tolist()
     waits = [0.0] * len(arrivals)
-    push, pop = heapq.heappush, heapq.heappop
+    replace = heapq.heapreplace
     for i, ai in enumerate(arrivals):
-        t = pop(free)
+        t = free[0]
         start = t if t > ai else ai
         waits[i] = start - ai
-        push(free, start + services[i])
+        replace(free, start + services[i])
     return np.asarray(waits)
 
 
@@ -219,7 +219,7 @@ def _jsq_waits(
     waits = [0.0] * len(arrivals)
     in_system: list[list[float]] = [[] for _ in range(backends)]
     free: list[list[float]] = [[0.0] * servers_per_backend for _ in range(backends)]
-    push, pop = heapq.heappush, heapq.heappop
+    push, pop, replace = heapq.heappush, heapq.heappop, heapq.heapreplace
     integers = rng.integers
     for i, t in enumerate(arrivals):
         best = 0
@@ -246,11 +246,11 @@ def _jsq_waits(
                         break
                     pick -= 1
         chosen_free = free[best]
-        tf = pop(chosen_free)
+        tf = chosen_free[0]
         start = tf if tf > t else t
         waits[i] = start - t
         end = start + services[i]
-        push(chosen_free, end)
+        replace(chosen_free, end)
         push(in_system[best], end)
     return np.asarray(waits)
 

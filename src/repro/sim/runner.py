@@ -100,6 +100,7 @@ def run_deployment(
             ],
             router=router,
         )
+        stations = [site.station for site in deployment.sites]
     else:
         deployment = CloudDeployment(
             sim,
@@ -109,6 +110,7 @@ def run_deployment(
             policy=policy,
             backends=backends,
         )
+        stations = deployment.stations
 
     for i, rate in enumerate(rates):
         if rate == 0:
@@ -127,7 +129,15 @@ def run_deployment(
         )
 
     sim.run()  # drain: sources stop at `duration`, in-flight requests finish
-    return deployment.log.breakdown().after(duration * warmup_fraction)
+    breakdown = deployment.log.breakdown().after(duration * warmup_fraction)
+    # The station callbacks are bound methods of the deployment, a
+    # reference cycle that would keep the finished topology and its
+    # RequestLog buffer alive until a full cyclic collection.  Nothing
+    # outlives this call but the breakdown, so unhook them and let
+    # reference counting free the deployment on return.
+    for station in stations:
+        station.on_departure = station.on_drop = station.on_shed = station.on_reject = None
+    return breakdown
 
 
 def _run_deployment_task(kind: str, kwargs: dict) -> LatencyBreakdown:

@@ -7,22 +7,48 @@ from hypothesis import strategies as st
 from repro.sim.engine import Simulation
 
 
+# Times from a small set as well as a continuum, so equal-time ties —
+# the case the insertion-order tie-break decides — are common.
+_times = st.one_of(
+    st.floats(min_value=0.0, max_value=100.0), st.sampled_from([0.0, 1.0, 2.5])
+)
+_insertions = st.lists(
+    st.one_of(
+        st.tuples(
+            st.sampled_from(["schedule", "schedule_at"]),
+            st.lists(_times, min_size=1, max_size=1),
+        ),
+        st.tuples(st.just("schedule_batch"), st.lists(_times, max_size=8)),
+    ),
+    min_size=1,
+    max_size=30,
+)
+
+
 class TestExecutionOrderProperty:
-    @given(
-        delays=st.lists(
-            st.floats(min_value=0.0, max_value=100.0), min_size=1, max_size=60
-        )
-    )
+    @given(insertions=_insertions)
     @settings(max_examples=100)
-    def test_matches_stable_sort_reference(self, delays):
-        """Events run exactly in (time, insertion-order) order."""
+    def test_matches_stable_sort_reference(self, insertions):
+        """Events run exactly in (time, insertion-order) order, whichever
+        of schedule / schedule_at / schedule_batch inserted them."""
         sim = Simulation(0)
         executed = []
-        for i, d in enumerate(delays):
-            sim.schedule(d, executed.append, i)
+        inserted = []  # (time, label) per event, in insertion order
+
+        def log(label):
+            executed.append((sim.now, label))
+
+        for label, (api, times) in enumerate(insertions):
+            if api == "schedule":
+                sim.schedule(times[0], log, label)
+            elif api == "schedule_at":
+                sim.schedule_at(times[0], log, label)
+            else:
+                sim.schedule_batch(times, log, label)
+            inserted.extend((t, label) for t in times)
         sim.run()
-        reference = [i for _, i in sorted((d, i) for i, d in enumerate(delays))]
-        assert executed == reference
+        # sorted() is stable: equal times keep their insertion order.
+        assert executed == sorted(inserted, key=lambda event: event[0])
 
     @given(
         seed=st.integers(min_value=0, max_value=500),

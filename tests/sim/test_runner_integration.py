@@ -5,12 +5,16 @@ and the fast path must both agree with exact M/M/1 / M/M/k results, and
 the two simulation paths must agree with each other.
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from repro.queueing.distributions import Exponential
 from repro.queueing.mm1 import MM1
 from repro.queueing.mmk import MMk
+from repro.sim import runner
 from repro.sim.loadbalancer import JoinShortestQueue
 from repro.sim.network import ConstantLatency
 from repro.sim.runner import run_comparison, run_deployment
@@ -191,3 +195,39 @@ class TestArgumentValidation:
             run_deployment("edge", duration=0.0, **common)
         with pytest.raises(ValueError):
             run_deployment("edge", duration=10.0, warmup_fraction=1.0, **common)
+
+
+class TestFinishedTopologyIsFreed:
+    @pytest.mark.parametrize("kind", ["edge", "cloud"])
+    def test_deployment_unreachable_without_cyclic_gc(self, kind, monkeypatch):
+        """Only the breakdown outlives run_deployment: the deployment and
+        its RequestLog buffer are freed by reference counting alone, not
+        left in a cycle for the next full collection."""
+        base = runner.EdgeDeployment if kind == "edge" else runner.CloudDeployment
+        built = []
+
+        class Tracked(base):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(weakref.ref(self))
+
+        monkeypatch.setattr(runner, base.__name__, Tracked)
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            bd = run_deployment(
+                kind,
+                sites=3,
+                servers_per_site=2,
+                rate_per_site=8.0,
+                service_dist=SERVICE,
+                latency=EDGE_LAT,
+                duration=100.0,
+                seed=43,
+            )
+            assert len(bd) > 0
+            assert len(built) == 1
+            assert built[0]() is None, f"{kind} deployment outlived run_deployment"
+        finally:
+            if was_enabled:
+                gc.enable()
