@@ -6,12 +6,12 @@ determinism, the seconds-only ``n + w + s`` decomposition, the
 generic linter knows about.  This subsystem enforces them twice over:
 
 * **statically** — ``python -m repro.analysis src tests`` runs both
-  analysis tiers: the per-file rule pack (:mod:`repro.analysis.rules`,
-  codes ``RPR001``…) and the whole-program call-graph analyses built on
+  analysis tiers in one pass (:mod:`repro.analysis.project`): the
+  per-file rule pack (:mod:`repro.analysis.rules`, codes ``RPR001``…)
+  and the whole-program call-graph analyses built on
   :mod:`repro.analysis.callgraph` — hot-path purity/taint (``RPR101``),
   task-callable picklability (``RPR102``) and seed-flow checking
-  (``RPR103``).  Results are cached incrementally
-  (:mod:`repro.analysis.cache`), gated against the checked-in
+  (``RPR103``).  Results are gated against the checked-in
   ``analysis-baseline.json`` (:mod:`repro.analysis.baseline` — CI fails
   only on *new* findings) and exportable as SARIF 2.1.0
   (:mod:`repro.analysis.sarif`).  Suppress a deliberate exception with
@@ -23,94 +23,9 @@ generic linter knows about.  This subsystem enforces them twice over:
   ``--check-invariants`` on any CLI experiment); off, the simulator's
   hot paths are untouched.
 
+Import from the submodules.  This package module re-exports nothing, so
+a simulation that imports :mod:`repro.analysis.invariants` loads none
+of the static analyzer.
+
 Rule catalog, rationale and how to add a rule: ``docs/static_analysis.md``.
 """
-
-from repro.analysis.baseline import (
-    Baseline,
-    BaselineDiff,
-    BaselineEntry,
-    fingerprint,
-    update_baseline,
-)
-from repro.analysis.cache import (
-    ProjectReport,
-    analyze_project,
-    rule_pack_digest,
-)
-from repro.analysis.callgraph import (
-    CallGraph,
-    ModuleSummary,
-    extract_module,
-    link,
-    render_chain,
-    shortest_chains,
-)
-from repro.analysis.engine import (
-    Finding,
-    Rule,
-    analyze_file,
-    analyze_paths,
-    apply_suppressions,
-    collect_raw_findings,
-    registered_rules,
-    render_json,
-    render_text,
-    rule,
-)
-from repro.analysis.invariants import (
-    InvariantChecker,
-    InvariantViolation,
-    checks_enabled,
-)
-from repro.analysis.purity import (
-    DEFAULT_HOT_ROOTS,
-    check_picklability,
-    check_purity,
-)
-from repro.analysis.rules import (
-    DETERMINISM_PACKAGES,
-    RULE_PACK_VERSION,
-    SIM_PACKAGES,
-)
-from repro.analysis.sarif import render_sarif, sarif_document
-from repro.analysis.seedflow import check_seedflow
-
-__all__ = [
-    "Finding",
-    "Rule",
-    "rule",
-    "registered_rules",
-    "analyze_file",
-    "analyze_paths",
-    "collect_raw_findings",
-    "apply_suppressions",
-    "render_text",
-    "render_json",
-    "CallGraph",
-    "ModuleSummary",
-    "extract_module",
-    "link",
-    "shortest_chains",
-    "render_chain",
-    "check_purity",
-    "check_picklability",
-    "check_seedflow",
-    "DEFAULT_HOT_ROOTS",
-    "ProjectReport",
-    "analyze_project",
-    "rule_pack_digest",
-    "Baseline",
-    "BaselineDiff",
-    "BaselineEntry",
-    "fingerprint",
-    "update_baseline",
-    "render_sarif",
-    "sarif_document",
-    "InvariantChecker",
-    "InvariantViolation",
-    "checks_enabled",
-    "DETERMINISM_PACKAGES",
-    "SIM_PACKAGES",
-    "RULE_PACK_VERSION",
-]

@@ -11,11 +11,10 @@ Usage::
     python -m repro.analysis --list-rules               # rule catalog
     python -m repro.analysis --explain RPR101           # one rule, long form
 
-Both tiers run by default: the per-file leaf rules (RPR001…) and the
-whole-program call-graph analyses (RPR101 purity, RPR102 picklability,
-RPR103 seed flow).  Results are cached in ``.repro-analysis-cache.json``
-(``--cache`` to relocate, ``--no-cache`` to disable) so warm re-runs
-only analyze changed files and their reverse dependencies.
+Every run is one uncached pass over both tiers: the per-file leaf rules
+(RPR001…) and the whole-program call-graph analyses (RPR101 purity,
+RPR102 picklability, RPR103 seed flow).  It writes no file besides the
+``--sarif`` report and the ``--update-baseline`` baseline.
 
 Exit status: 0 when clean — with ``--baseline``, when no *new* finding
 appears (baselined findings are reported but do not fail the gate);
@@ -29,13 +28,13 @@ import sys
 from pathlib import Path
 
 from repro.analysis.baseline import Baseline, update_baseline
-from repro.analysis.cache import DEFAULT_CACHE_NAME, analyze_project
 from repro.analysis.engine import (
     Finding,
     registered_rules,
     render_json,
     render_text,
 )
+from repro.analysis.project import analyze_project
 from repro.analysis.purity import PICKLE_INFO, PURITY_INFO
 from repro.analysis.sarif import render_sarif
 from repro.analysis.seedflow import SEEDFLOW_INFO
@@ -95,18 +94,6 @@ def main(argv: list[str] | None = None) -> int:
         "--sarif", metavar="PATH", type=Path,
         help="additionally write a SARIF 2.1.0 report to PATH",
     )
-    parser.add_argument(
-        "--cache", metavar="PATH", type=Path, default=Path(DEFAULT_CACHE_NAME),
-        help=f"incremental cache location (default: {DEFAULT_CACHE_NAME})",
-    )
-    parser.add_argument(
-        "--no-cache", action="store_true",
-        help="disable the incremental cache (always a cold run)",
-    )
-    parser.add_argument(
-        "--no-whole-program", action="store_true",
-        help="run only the per-file leaf rules (skip call-graph analyses)",
-    )
     args = parser.parse_args(argv)
 
     if args.list_rules:
@@ -123,11 +110,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--update-baseline requires --baseline PATH")
 
     try:
-        report = analyze_project(
-            args.paths,
-            cache_path=None if args.no_cache else args.cache,
-            whole_program=not args.no_whole_program,
-        )
+        report = analyze_project(args.paths)
     except FileNotFoundError as exc:
         parser.error(str(exc))
 

@@ -7,19 +7,17 @@ package.  The whole-program analyses (:mod:`repro.analysis.purity`,
 "can ``Simulation.run`` transitively reach ``time.time()``?" — and for
 that they need a call graph over every module the pass indexes.
 
-The graph is built in two phases so the expensive half caches per file:
+The graph is built in two phases:
 
-* **extraction** (:func:`extract_module`) parses one file and produces a
-  JSON-serializable :class:`ModuleSummary`: functions with their call
-  sites, taint sinks, callable references and local type hints; classes
-  with bases, methods and attribute types; the import alias table.
-  Summaries are content-addressed by the incremental cache
-  (:mod:`repro.analysis.cache`), so a warm run re-extracts only edited
-  files.
+* **extraction** (:func:`extract_module`) walks one parsed file and
+  produces a :class:`ModuleSummary`: functions with their call sites,
+  taint sinks, callable references and local type hints; classes with
+  bases, methods and attribute types; the import alias table.
+  :func:`repro.analysis.project.analyze_project` extracts from the tree
+  the leaf rules already parsed, so each file is parsed once.
 * **linking** (:func:`link`) resolves every recorded call site against
   the global symbol tables into a :class:`CallGraph` of qualified-name
-  edges.  Linking is pure dictionary work over summaries — cheap enough
-  to re-run on every invocation.
+  edges.  Linking is pure dictionary work over summaries.
 
 Resolution strategy, in decreasing precision:
 
@@ -47,11 +45,10 @@ from __future__ import annotations
 
 import ast
 import fnmatch
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 
 __all__ = [
-    "ANALYSIS_VERSION",
     "DUCK_CAP",
     "SinkRecord",
     "CallRecord",
@@ -66,9 +63,6 @@ __all__ = [
     "shortest_chains",
     "render_chain",
 ]
-
-#: Version of the extraction format; bumping invalidates cached summaries.
-ANALYSIS_VERSION = 1
 
 #: Maximum number of same-named project methods a duck-dispatched call
 #: may fan out to; beyond this the call is recorded as unknown instead.
@@ -103,7 +97,7 @@ _SEED_DERIVERS = {"derive_seed", "derive_seedseq", "derive_rng"}
 
 
 # --------------------------------------------------------------------------
-# Summary data model (everything round-trips through plain JSON dicts)
+# Summary data model
 # --------------------------------------------------------------------------
 
 
@@ -115,14 +109,6 @@ class SinkRecord:
     line: int
     col: int
     detail: str  # e.g. "time.time()"
-
-    def to_dict(self) -> dict[str, object]:
-        return {"kind": self.kind, "line": self.line, "col": self.col,
-                "detail": self.detail}
-
-    @classmethod
-    def from_dict(cls, d: Mapping[str, object]) -> "SinkRecord":
-        return cls(str(d["kind"]), int(d["line"]), int(d["col"]), str(d["detail"]))
 
 
 @dataclass(frozen=True)
@@ -146,20 +132,6 @@ class CallRecord:
     recv: str = ""
     fn_arg: str = ""  # task-callable descriptor for run_tasks-like calls
 
-    def to_dict(self) -> dict[str, object]:
-        d: dict[str, object] = {"kind": self.kind, "target": self.target,
-                                "line": self.line, "col": self.col}
-        if self.recv:
-            d["recv"] = self.recv
-        if self.fn_arg:
-            d["fn_arg"] = self.fn_arg
-        return d
-
-    @classmethod
-    def from_dict(cls, d: Mapping[str, object]) -> "CallRecord":
-        return cls(str(d["kind"]), str(d["target"]), int(d["line"]), int(d["col"]),
-                   str(d.get("recv", "")), str(d.get("fn_arg", "")))
-
 
 @dataclass(frozen=True)
 class RefRecord:
@@ -168,13 +140,6 @@ class RefRecord:
     kind: str  # "name" | "self" | "dotted"
     target: str
     line: int
-
-    def to_dict(self) -> dict[str, object]:
-        return {"kind": self.kind, "target": self.target, "line": self.line}
-
-    @classmethod
-    def from_dict(cls, d: Mapping[str, object]) -> "RefRecord":
-        return cls(str(d["kind"]), str(d["target"]), int(d["line"]))
 
 
 @dataclass(frozen=True)
@@ -188,17 +153,6 @@ class SeedCallRecord:
     target_var: str = ""  # simple assignment target, if any
     discarded: bool = False  # statement-expression: result dropped
     in_arith: bool = False  # the call itself sits inside a BinOp
-
-    def to_dict(self) -> dict[str, object]:
-        return {"fn": self.fn, "args": self.args, "line": self.line,
-                "col": self.col, "target_var": self.target_var,
-                "discarded": self.discarded, "in_arith": self.in_arith}
-
-    @classmethod
-    def from_dict(cls, d: Mapping[str, object]) -> "SeedCallRecord":
-        return cls(str(d["fn"]), str(d["args"]), int(d["line"]), int(d["col"]),
-                   str(d.get("target_var", "")), bool(d.get("discarded", False)),
-                   bool(d.get("in_arith", False)))
 
 
 @dataclass
@@ -221,46 +175,6 @@ class FunctionSummary:
     seed_arith_vars: list[str] = field(default_factory=list)  # with lines below
     seed_arith_lines: list[int] = field(default_factory=list)
 
-    def to_dict(self) -> dict[str, object]:
-        return {
-            "qualname": self.qualname,
-            "name": self.name,
-            "line": self.line,
-            "class_name": self.class_name,
-            "is_nested": self.is_nested,
-            "decorators": self.decorators,
-            "params": self.params,
-            "param_types": self.param_types,
-            "local_types": self.local_types,
-            "calls": [c.to_dict() for c in self.calls],
-            "refs": [r.to_dict() for r in self.refs],
-            "sinks": [s.to_dict() for s in self.sinks],
-            "seed_calls": [s.to_dict() for s in self.seed_calls],
-            "seed_arith_vars": self.seed_arith_vars,
-            "seed_arith_lines": self.seed_arith_lines,
-        }
-
-    @classmethod
-    def from_dict(cls, d: Mapping[str, object]) -> "FunctionSummary":
-        return cls(
-            qualname=str(d["qualname"]),
-            name=str(d["name"]),
-            line=int(d["line"]),
-            class_name=str(d.get("class_name", "")),
-            is_nested=bool(d.get("is_nested", False)),
-            decorators=[str(x) for x in _as_list(d.get("decorators"))],
-            params=[str(x) for x in _as_list(d.get("params"))],
-            param_types={str(k): str(v) for k, v in _as_map(d.get("param_types")).items()},
-            local_types={str(k): str(v) for k, v in _as_map(d.get("local_types")).items()},
-            calls=[CallRecord.from_dict(_as_map(x)) for x in _as_list(d.get("calls"))],
-            refs=[RefRecord.from_dict(_as_map(x)) for x in _as_list(d.get("refs"))],
-            sinks=[SinkRecord.from_dict(_as_map(x)) for x in _as_list(d.get("sinks"))],
-            seed_calls=[SeedCallRecord.from_dict(_as_map(x))
-                        for x in _as_list(d.get("seed_calls"))],
-            seed_arith_vars=[str(x) for x in _as_list(d.get("seed_arith_vars"))],
-            seed_arith_lines=[int(str(x)) for x in _as_list(d.get("seed_arith_lines"))],
-        )
-
 
 @dataclass
 class ClassSummary:
@@ -273,27 +187,6 @@ class ClassSummary:
     methods: dict[str, str] = field(default_factory=dict)  # name -> qualname
     attr_types: dict[str, str] = field(default_factory=dict)  # self.x -> raw type
 
-    def to_dict(self) -> dict[str, object]:
-        return {
-            "qualname": self.qualname,
-            "name": self.name,
-            "line": self.line,
-            "bases": self.bases,
-            "methods": self.methods,
-            "attr_types": self.attr_types,
-        }
-
-    @classmethod
-    def from_dict(cls, d: Mapping[str, object]) -> "ClassSummary":
-        return cls(
-            qualname=str(d["qualname"]),
-            name=str(d["name"]),
-            line=int(d["line"]),
-            bases=[str(x) for x in _as_list(d.get("bases"))],
-            methods={str(k): str(v) for k, v in _as_map(d.get("methods")).items()},
-            attr_types={str(k): str(v) for k, v in _as_map(d.get("attr_types")).items()},
-        )
-
 
 @dataclass
 class ModuleSummary:
@@ -302,45 +195,8 @@ class ModuleSummary:
     module: str
     path: str
     imports: dict[str, str] = field(default_factory=dict)  # alias -> dotted target
-    project_imports: list[str] = field(default_factory=list)  # for reverse deps
     functions: dict[str, FunctionSummary] = field(default_factory=dict)
     classes: dict[str, ClassSummary] = field(default_factory=dict)  # simple name ->
-
-    def to_dict(self) -> dict[str, object]:
-        return {
-            "version": ANALYSIS_VERSION,
-            "module": self.module,
-            "path": self.path,
-            "imports": self.imports,
-            "project_imports": self.project_imports,
-            "functions": {k: v.to_dict() for k, v in self.functions.items()},
-            "classes": {k: v.to_dict() for k, v in self.classes.items()},
-        }
-
-    @classmethod
-    def from_dict(cls, d: Mapping[str, object]) -> "ModuleSummary":
-        return cls(
-            module=str(d["module"]),
-            path=str(d["path"]),
-            imports={str(k): str(v) for k, v in _as_map(d.get("imports")).items()},
-            project_imports=[str(x) for x in _as_list(d.get("project_imports"))],
-            functions={
-                str(k): FunctionSummary.from_dict(_as_map(v))
-                for k, v in _as_map(d.get("functions")).items()
-            },
-            classes={
-                str(k): ClassSummary.from_dict(_as_map(v))
-                for k, v in _as_map(d.get("classes")).items()
-            },
-        )
-
-
-def _as_list(value: object) -> list[object]:
-    return list(value) if isinstance(value, (list, tuple)) else []
-
-
-def _as_map(value: object) -> dict[str, object]:
-    return dict(value) if isinstance(value, Mapping) else {}
 
 
 # --------------------------------------------------------------------------
@@ -399,8 +255,6 @@ class _ModuleExtractor(ast.NodeVisitor):
             bound = alias.asname or alias.name.split(".")[0]
             target = alias.name if alias.asname else alias.name.split(".")[0]
             self.out.imports[bound] = target
-            if alias.name.startswith("repro"):
-                self.out.project_imports.append(alias.name)
 
     def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
         base = node.module or ""
@@ -413,8 +267,6 @@ class _ModuleExtractor(ast.NodeVisitor):
                 continue
             bound = alias.asname or alias.name
             self.out.imports[bound] = f"{base}.{alias.name}" if base else alias.name
-        if base.startswith("repro"):
-            self.out.project_imports.append(base)
 
     # -- classes and functions -------------------------------------------
 
@@ -825,7 +677,6 @@ def extract_module(module: str, path: str, tree: ast.Module) -> ModuleSummary:
                     best, best_start = fn, start
             if best is not None and sink not in best.sinks:
                 best.sinks.append(sink)
-    ex.out.project_imports = sorted(set(ex.out.project_imports))
     return ex.out
 
 
@@ -1223,11 +1074,3 @@ def _short(qualname: str) -> str:
             return ".".join(parts[i:])
     return parts[-1]
 
-
-def iter_project_summaries(
-    summaries: Iterable[ModuleSummary],
-) -> Iterator[ModuleSummary]:
-    """Only summaries for project (``repro.*``) modules — the graph scope."""
-    for s in summaries:
-        if s.module == "repro" or s.module.startswith("repro."):
-            yield s

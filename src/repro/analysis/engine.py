@@ -17,8 +17,8 @@ Design constraints:
 
 * stdlib only (``ast`` + ``tokenize``) — the pass must run in CI and in
   the bare dev container without installing anything;
-* one parse per file, shared by all rules through a
-  :class:`FileContext`;
+* one parse per file (:func:`parse_file`), shared by all rules and
+  the call-graph extractor through a :class:`FileContext`;
 * deterministic output ordering (path, line, column, code) so diffs of
   the JSON report are stable.
 """
@@ -40,12 +40,11 @@ __all__ = [
     "Rule",
     "rule",
     "registered_rules",
-    "parse_failure",
+    "parse_file",
     "collect_raw_findings",
     "suppressions_for",
     "apply_suppressions",
     "analyze_file",
-    "analyze_paths",
     "render_text",
     "render_json",
 ]
@@ -167,10 +166,14 @@ def rule(cls: type[Rule]) -> type[Rule]:
 
 def registered_rules() -> list[type[Rule]]:
     """All registered rule classes, ordered by code."""
+    # Importing the pack registers it; the pack imports this module, so
+    # the import cannot sit at the top.
+    import repro.analysis.rules  # noqa: F401
+
     return [_REGISTRY[code] for code in sorted(_REGISTRY)]
 
 
-def _suppressions(source: str) -> dict[int, set[str]]:
+def suppressions_for(source: str) -> dict[int, set[str]]:
     """Map line number -> set of codes suppressed on that line.
 
     Comments are located with :mod:`tokenize` rather than a regex over
@@ -193,30 +196,32 @@ def _suppressions(source: str) -> dict[int, set[str]]:
     return out
 
 
-def parse_failure(path: Path, exc: SyntaxError) -> Finding:
-    """The RPR999 finding for a file the analyzer could not parse."""
-    return Finding(
-        path=str(path),
-        line=exc.lineno or 1,
-        col=(exc.offset or 1) - 1,
-        code="RPR999",
-        message=f"file does not parse: {exc.msg}",
-    )
+def parse_file(path: Path) -> FileContext | Finding:
+    """Read and parse one file, or return its RPR999 finding.
+
+    The bytes are decoded as UTF-8 with replacement, so a stray byte
+    never aborts a whole run.
+    """
+    source = path.read_bytes().decode("utf-8", errors="replace")
+    try:
+        tree = ast.parse(source, filename=str(path))
+    except SyntaxError as exc:
+        return Finding(
+            path=str(path),
+            line=exc.lineno or 1,
+            col=(exc.offset or 1) - 1,
+            code="RPR999",
+            message=f"file does not parse: {exc.msg}",
+        )
+    return FileContext(path, source, tree)
 
 
-def collect_raw_findings(
-    ctx: FileContext, rules: Sequence[type[Rule]] | None = None
-) -> list[Finding]:
+def collect_raw_findings(ctx: FileContext) -> list[Finding]:
     """Run the leaf rule pack over one parsed file, pre-suppression."""
     raw: list[Finding] = []
-    for rule_cls in rules if rules is not None else registered_rules():
+    for rule_cls in registered_rules():
         raw.extend(rule_cls().check(ctx))
     return raw
-
-
-def suppressions_for(source: str) -> dict[int, list[str]]:
-    """Public view of the per-line suppression map (sorted code lists)."""
-    return {line: sorted(codes) for line, codes in _suppressions(source).items()}
 
 
 def apply_suppressions(
@@ -256,21 +261,18 @@ def apply_suppressions(
     return sorted(kept)
 
 
-def analyze_file(path: Path, rules: Sequence[type[Rule]] | None = None) -> list[Finding]:
-    """Run the rule pack over one file, honouring suppressions.
+def analyze_file(path: Path) -> list[Finding]:
+    """Run the leaf rule pack over one file, honouring suppressions.
 
     Returns the surviving findings plus :data:`UNUSED_SUPPRESSION`
     findings for noqa codes that matched nothing (a stale suppression
     would silently swallow the next real violation on that line).
     """
-    source = path.read_text()
-    try:
-        tree = ast.parse(source, filename=str(path))
-    except SyntaxError as exc:
-        return [parse_failure(path, exc)]
-    ctx = FileContext(path, source, tree)
-    raw = collect_raw_findings(ctx, rules)
-    return apply_suppressions(str(path), raw, _suppressions(source))
+    ctx = parse_file(path)
+    if isinstance(ctx, Finding):
+        return [ctx]
+    raw = collect_raw_findings(ctx)
+    return apply_suppressions(str(path), raw, suppressions_for(ctx.source))
 
 
 def iter_python_files(paths: Iterable[str | Path]) -> Iterator[Path]:
@@ -283,22 +285,6 @@ def iter_python_files(paths: Iterable[str | Path]) -> Iterator[Path]:
             yield p
         else:
             raise FileNotFoundError(f"not a Python file or directory: {p}")
-
-
-def analyze_paths(
-    paths: Iterable[str | Path], rules: Sequence[type[Rule]] | None = None
-) -> tuple[list[Finding], int]:
-    """Analyze every ``*.py`` under ``paths``.
-
-    Returns ``(findings, files_checked)``; findings are sorted by
-    (path, line, column, code).
-    """
-    findings: list[Finding] = []
-    n_files = 0
-    for path in iter_python_files(paths):
-        n_files += 1
-        findings.extend(analyze_file(path, rules))
-    return sorted(findings), n_files
 
 
 def render_text(findings: Sequence[Finding], files_checked: int) -> str:

@@ -22,13 +22,7 @@ from collections.abc import Iterator
 
 from repro.analysis.engine import FileContext, Finding, Rule, rule
 
-__all__ = ["DETERMINISM_PACKAGES", "SIM_PACKAGES", "RULE_PACK_VERSION"]
-
-#: Bumped whenever any rule's behaviour changes (new rule, changed
-#: heuristic, reworded message).  The incremental cache keys cached
-#: per-file results on this, so a pack change invalidates every entry
-#: instead of replaying findings from an older pack.
-RULE_PACK_VERSION = 2
+__all__ = ["DETERMINISM_PACKAGES", "SIM_PACKAGES"]
 
 #: Packages whose code executes inside a seeded simulation: any hidden
 #: entropy here silently invalidates every figure.

@@ -20,7 +20,7 @@ collects:
   (shared) stream.
 
 All three are local to a function body but operate on the extracted
-summaries, so cached files are never re-parsed to re-run this pass.
+summaries, so this pass needs no second parse of any file.
 """
 
 from __future__ import annotations

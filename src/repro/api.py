@@ -12,8 +12,7 @@ below keeps its signature and semantics within a major version; removal
 or change is preceded by at least one release emitting a
 ``DeprecationWarning``.  Deep imports (``repro.experiments.result``,
 ``repro.campaign.runner``, …) continue to work but are *not* covered by
-the contract — retired deep paths (``repro.cli.EXPERIMENTS``,
-``repro.experiments.persist.FIGURE_RUNNERS``) warn and forward here.
+the contract.
 
 Wire documents (results persisted by ``ExperimentResult.save``, golden
 summaries, salvage reports, telemetry files, every service response)

@@ -43,7 +43,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import warnings
 from dataclasses import replace
 from itertools import count
 
@@ -51,36 +50,7 @@ from repro.experiments.config import FAST, FULL, ExperimentConfig
 from repro.experiments.result import available, get_spec, run_experiment
 from repro.parallel import resolve_workers
 
-__all__ = ["main", "EXPERIMENTS"]
-
-
-def _experiment_text(name: str):
-    """Legacy runner shape: ``runner(cfg) -> str`` (deprecation shim)."""
-
-    def runner(cfg: ExperimentConfig) -> str:
-        return run_experiment(name, cfg).text
-
-    return runner
-
-
-def __getattr__(name: str):
-    # Deprecated pre-registry API: name -> (runner(cfg) -> str,
-    # description).  The source of truth is
-    # repro.experiments.result.available(); the supported import surface
-    # is the repro.api facade.
-    if name == "EXPERIMENTS":
-        warnings.warn(
-            "repro.cli.EXPERIMENTS is deprecated; use "
-            "repro.experiments.result.available()/run_experiment "
-            "(re-exported by repro.api)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return {
-            spec.name: (_experiment_text(spec.name), spec.description)
-            for spec in available()
-        }
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__all__ = ["main"]
 
 
 def _cmd_list() -> int:
@@ -120,16 +90,8 @@ def _cmd_sensitivity() -> int:
 def _cmd_dump(args: argparse.Namespace, cfg: ExperimentConfig) -> int:
     from repro.experiments.persist import dump_all_figures
 
-    outdir = args.out
-    if args.outdir is not None:
-        print(
-            "note: --outdir is deprecated; use --out DIR (same meaning)",
-            file=sys.stderr,
-        )
-        if outdir is None:
-            outdir = args.outdir
     only = args.figures.split(",") if args.figures else None
-    written = dump_all_figures(cfg, outdir or "results", only=only)
+    written = dump_all_figures(cfg, args.out, only=only)
     for name, path in written.items():
         print(f"wrote {name} -> {path}")
     return 0
@@ -431,10 +393,8 @@ def main(argv: list[str] | None = None) -> int:
     rep.add_argument("--full", action="store_true", help="publication-sized run")
     _add_common_args(rep)
     dump = sub.add_parser("dump", help="persist figure results as JSON")
-    dump.add_argument("--out", default=None, metavar="DIR",
+    dump.add_argument("--out", default="results", metavar="DIR",
                       help="output directory (default: results)")
-    dump.add_argument("--outdir", default=None, metavar="DIR",
-                      help="deprecated alias for --out")
     dump.add_argument("--figures", default=None, help="comma-separated subset")
     dump.add_argument("--full", action="store_true", help="publication-sized run")
     _add_common_args(dump)

@@ -88,23 +88,6 @@ _FIGURE_RUNNERS: dict[str, Callable[[ExperimentConfig], Any]] = {
 }
 
 
-def __getattr__(name: str):
-    # Deprecated pre-registry API: keep ``FIGURE_RUNNERS`` importable but
-    # steer callers to the experiment registry (via the repro.api facade).
-    if name == "FIGURE_RUNNERS":
-        import warnings
-
-        warnings.warn(
-            "repro.experiments.persist.FIGURE_RUNNERS is deprecated; use "
-            "repro.experiments.result.available()/run_experiment "
-            "(re-exported by repro.api)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return dict(_FIGURE_RUNNERS)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 def dump_experiment(name: str, config: ExperimentConfig, path: str | Path) -> Path:
     """Run one registered experiment and persist its full envelope.
 

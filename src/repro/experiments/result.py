@@ -12,9 +12,8 @@ runners and renderers.  This module collapses that into:
   ``raw`` object for code that wants the typed dataclass;
 * :class:`ExperimentSpec` / :func:`register` — the experiment registry,
   mapping a name to its runner and renderer once.  ``repro.cli`` builds
-  its command table from it (the old ``EXPERIMENTS`` dict remains as a
-  deprecation shim), and :mod:`repro.experiments.persist` uses it to
-  materialize results;
+  its command table from it, and :mod:`repro.experiments.persist` uses
+  it to materialize results;
 * :func:`run_experiment` — run a registered experiment and wrap the
   outcome.
 

@@ -1,6 +1,8 @@
 """Baseline lifecycle: add, match, prune, justification preservation."""
 
 import json
+import re
+from pathlib import Path
 
 from repro.analysis.baseline import (
     TODO_JUSTIFICATION,
@@ -9,6 +11,9 @@ from repro.analysis.baseline import (
     update_baseline,
 )
 from repro.analysis.engine import Finding
+from repro.analysis.project import analyze_project
+
+REPO = Path(__file__).resolve().parents[2]
 
 
 def finding(path="src/repro/x.py", line=10, code="RPR101", message="msg"):
@@ -98,11 +103,20 @@ class TestRoundTrip:
 class TestCheckedInBaseline:
     def test_repo_baseline_entries_are_justified(self):
         # The committed baseline must never carry a TODO justification —
-        # an accepted finding without a reason defeats the gate.
-        from pathlib import Path
-
-        repo = Path(__file__).resolve().parents[2]
-        doc = json.loads((repo / "analysis-baseline.json").read_text())
+        # an accepted finding without a reason defeats the gate — and a
+        # test a justification points at must exist.
+        doc = json.loads((REPO / "analysis-baseline.json").read_text())
         for entry in doc["findings"]:
             assert entry["justification"], entry["fingerprint"]
             assert entry["justification"] != TODO_JUSTIFICATION
+            for cited in re.findall(r"tests/[\w/]+\.py", entry["justification"]):
+                assert (REPO / cited).is_file(), (entry["fingerprint"], cited)
+
+    def test_repo_tree_matches_checked_in_baseline(self, monkeypatch):
+        # The CI analysis gate, with stale entries failing too.  Run from
+        # the repo root: fingerprints hash the path as given.
+        monkeypatch.chdir(REPO)
+        report = analyze_project(["src", "tests"])
+        diff = Baseline.load(Path("analysis-baseline.json")).compare(report.findings)
+        assert diff.new == [], [f.render() for f in diff.new]
+        assert diff.stale == [], [e.fingerprint for e in diff.stale]

@@ -12,11 +12,11 @@ import pytest
 from repro.analysis.engine import (
     Finding,
     analyze_file,
-    analyze_paths,
     registered_rules,
     render_json,
     render_text,
 )
+from repro.analysis.project import analyze_project
 
 
 def write(tmp_path, relpath, source):
@@ -103,14 +103,15 @@ class TestReports:
     def test_findings_sorted_and_stable(self, tmp_path):
         write(tmp_path, "repro/sim/b.py", BAD_SIM)
         write(tmp_path, "repro/sim/a.py", BAD_SIM)
-        findings, n_files = analyze_paths([tmp_path])
-        assert n_files == 2
-        assert [f.path for f in findings] == sorted(f.path for f in findings)
+        report = analyze_project([tmp_path])
+        assert report.files_checked == 2
+        paths = [f.path for f in report.findings]
+        assert paths == sorted(paths)
 
     def test_json_schema(self, tmp_path):
         write(tmp_path, "repro/sim/bad.py", BAD_SIM)
-        findings, n_files = analyze_paths([tmp_path])
-        doc = json.loads(render_json(findings, n_files))
+        report = analyze_project([tmp_path])
+        doc = json.loads(render_json(report.findings, report.files_checked))
         assert doc["version"] == 1
         assert doc["files_checked"] == 1
         assert doc["counts"] == {"RPR001": 1}
@@ -261,12 +262,9 @@ class TestBaselineGateCli:
         for code in ("RPR101", "RPR102", "RPR103"):
             assert code in proc.stdout
 
-    def test_no_cache_leaves_no_file(self, tmp_path):
-        write(tmp_path, "repro/app.py", "x = 1\n")
-        self.run_cli("repro", "--no-cache", cwd=tmp_path)
-        assert not (tmp_path / ".repro-analysis-cache.json").exists()
-
-    def test_default_cache_created_and_speeds_rerun(self, tmp_path):
-        write(tmp_path, "repro/app.py", "x = 1\n")
-        self.run_cli("repro", cwd=tmp_path)
-        assert (tmp_path / ".repro-analysis-cache.json").exists()
+    def test_run_adds_no_file_to_working_directory(self, tmp_path):
+        write(tmp_path, "repro/sim/fastsim.py", self.HOT)
+        before = sorted(tmp_path.rglob("*"))
+        proc = self.run_cli("repro", "--format", "json", cwd=tmp_path)
+        assert proc.returncode == 1, proc.stdout + proc.stderr
+        assert sorted(tmp_path.rglob("*")) == before

@@ -10,7 +10,7 @@ import shutil
 import textwrap
 from pathlib import Path
 
-from repro.analysis.cache import analyze_project
+from repro.analysis.project import analyze_project
 from repro.analysis.purity import check_picklability, check_purity
 from tests.analysis.test_callgraph import build_graph
 
@@ -214,7 +214,7 @@ class TestMutationInjection:
             """)
         station.write_text(source)
 
-        report = analyze_project([mutated], cache_path=None)
+        report = analyze_project([mutated])
         hits = [
             f for f in report.findings
             if f.code == "RPR101" and "time.time()" in f.message

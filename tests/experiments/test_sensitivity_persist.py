@@ -9,7 +9,7 @@ from repro.core.scenarios import TYPICAL_CLOUD
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.figures import fig2_spatial_skew, fig6_distribution
 from repro.experiments.persist import (
-    FIGURE_RUNNERS,
+    _FIGURE_RUNNERS,
     dump_all_figures,
     load_result,
     result_to_dict,
@@ -102,6 +102,6 @@ class TestSaveLoad:
             dump_all_figures(TINY, tmp_path, only=["fig99"])
 
     def test_all_runners_registered(self):
-        assert set(FIGURE_RUNNERS) == {
+        assert set(_FIGURE_RUNNERS) == {
             "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10",
         }

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.cli import EXPERIMENTS, main
+from repro.cli import main
+from repro.experiments.result import available
 
 
 class TestCliBasics:
@@ -13,8 +14,8 @@ class TestCliBasics:
     def test_list(self, capsys):
         assert main(["list"]) == 0
         out = capsys.readouterr().out
-        for name in EXPERIMENTS:
-            assert name in out
+        for spec in available():
+            assert spec.name in out
 
     def test_unknown_command_exits(self):
         with pytest.raises(SystemExit):
@@ -46,14 +47,14 @@ class TestSensitivityCommand:
 
 class TestDumpCommand:
     def test_dump_subset(self, tmp_path, capsys):
-        assert main(["dump", "--outdir", str(tmp_path), "--figures", "fig2"]) == 0
+        assert main(["dump", "--out", str(tmp_path), "--figures", "fig2"]) == 0
         out = capsys.readouterr().out
         assert "fig2" in out
         assert (tmp_path / "fig2.json").exists()
 
     def test_dump_unknown_figure(self, tmp_path):
         with pytest.raises(ValueError):
-            main(["dump", "--outdir", str(tmp_path), "--figures", "fig99"])
+            main(["dump", "--out", str(tmp_path), "--figures", "fig99"])
 
 
 class TestExperimentCommands:
@@ -74,12 +75,6 @@ class TestFlagNormalization:
         assert main(["dump", "--out", str(tmp_path), "--figures", "fig2"]) == 0
         assert (tmp_path / "fig2.json").exists()
         assert "deprecated" not in capsys.readouterr().err
-
-    def test_dump_outdir_still_works_with_notice(self, tmp_path, capsys):
-        assert main(["dump", "--outdir", str(tmp_path), "--figures", "fig2"]) == 0
-        captured = capsys.readouterr()
-        assert (tmp_path / "fig2.json").exists()
-        assert "--outdir is deprecated" in captured.err
 
     def test_golden_update_golden_mutually_exclusive(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as err:

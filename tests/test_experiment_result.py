@@ -120,16 +120,6 @@ class TestRunExperiment:
 
 
 class TestCompatibilityShims:
-    def test_cli_experiments_table_mirrors_registry(self):
-        from repro.cli import EXPERIMENTS
-
-        assert set(EXPERIMENTS) == {spec.name for spec in available()}
-
-    def test_figure_runners_shim_intact(self):
-        from repro.experiments.persist import FIGURE_RUNNERS
-
-        assert set(FIGURE_RUNNERS) == {f"fig{i}" for i in range(2, 11)}
-
     def test_dump_experiment_writes_envelope(self, tmp_path):
         from repro.experiments.persist import dump_experiment
 

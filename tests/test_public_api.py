@@ -81,17 +81,3 @@ def test_api_facade_matches_deep_imports():
 
     assert api.run_campaign is run_campaign
     assert api.run_experiment is run_experiment
-
-
-def test_retired_deep_paths_warn_and_forward():
-    import warnings
-
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        from repro.cli import EXPERIMENTS
-        from repro.experiments.persist import FIGURE_RUNNERS
-
-    assert all(w.category is DeprecationWarning for w in caught)
-    assert len(caught) == 2
-    assert set(FIGURE_RUNNERS) == {f"fig{i}" for i in range(2, 11)}
-    assert "validation" in EXPERIMENTS
