@@ -10,7 +10,7 @@ from itertools import count
 
 import numpy as np
 
-from repro.mitigation.admission import AdmissionControlledStation, OccupancyAdmission
+from repro.mitigation.admission import OccupancyAdmission
 from repro.queueing.distributions import Exponential
 from repro.sim.engine import Simulation
 from repro.sim.request import Request
@@ -27,9 +27,7 @@ def _run(limit):
     st = Station(
         sim, 1, Exponential(1.0 / MU),
         on_departure=lambda r: waits.append(r.server_time),
-    )
-    target = st if limit is None else AdmissionControlledStation(
-        sim, st, OccupancyAdmission(limit)
+        admission=None if limit is None else OccupancyAdmission(limit),
     )
     rng = sim.spawn_rng()
 
@@ -37,13 +35,12 @@ def _run(limit):
 
     def gen():
         if sim.now < DURATION:
-            target.arrive(Request(next(ids), created=sim.now))
+            st.arrive(Request(next(ids), created=sim.now))
             sim.schedule(rng.exponential(1.0 / OVERLOAD), gen)
 
     sim.schedule(0.0, gen)
     sim.run(until=DURATION)
-    rejection = 0.0 if limit is None else target.rejection_rate
-    return float(np.mean(waits)), float(np.quantile(waits, 0.95)), rejection
+    return float(np.mean(waits)), float(np.quantile(waits, 0.95)), st.refusal_rate
 
 
 def run_admission_sweep():

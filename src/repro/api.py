@@ -14,11 +14,13 @@ or change is preceded by at least one release emitting a
 ``repro.campaign.runner``, …) continue to work but are *not* covered by
 the contract.
 
-Wire documents (results persisted by ``ExperimentResult.save``, golden
-summaries, salvage reports, telemetry files, every service response)
-carry ``schema_version`` from :mod:`repro.experiments.schema`; readers
-tolerate unknown keys and refuse newer majors, so artifacts written by
-one release load in the next.
+Wire documents (results persisted by ``ExperimentResult.save`` and
+``repro dump``, golden summaries, salvage reports, telemetry files,
+every service response) carry ``schema_version`` from
+:mod:`repro.experiments.schema`; readers tolerate unknown keys, so
+artifacts written by one release load in the next, and refuse newer
+majors and pre-envelope documents (no ``schema_version``) with
+``WireFormatError``.
 """
 
 from __future__ import annotations

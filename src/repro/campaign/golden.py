@@ -29,12 +29,6 @@ from repro.experiments import schema as wire
 
 __all__ = ["GoldenDrift", "golden_summary", "write_golden", "load_golden", "diff_golden"]
 
-#: Legacy golden-file markers, re-exported for back-compat.  New files
-#: carry the unified envelope (``schema_version``/``kind``) *and* these
-#: markers — see :mod:`repro.experiments.schema`.
-GOLDEN_MAGIC = wire.GOLDEN_MAGIC
-GOLDEN_VERSION = wire.GOLDEN_LEGACY_VERSION
-
 
 @dataclass(frozen=True)
 class GoldenDrift:
@@ -58,12 +52,8 @@ class GoldenDrift:
 
 
 def golden_summary(result: CampaignResult) -> dict:
-    """JSON-safe pinnable summary of a campaign run.
-
-    An enveloped ``golden-summary`` document dual-stamped with the
-    legacy ``magic``/``version`` markers (older checkouts keep reading
-    files this build writes).
-    """
+    """JSON-safe pinnable summary of a campaign run: an enveloped
+    ``golden-summary`` document (:mod:`repro.experiments.schema`)."""
     return wire.dump_golden_summary(result)
 
 
@@ -73,8 +63,8 @@ def write_golden(result: CampaignResult, path: str | Path) -> Path:
 
 
 def load_golden(path: str | Path) -> dict:
-    """Load a pinned summary (enveloped or legacy), refusing unknown
-    formats loudly with a :class:`ValueError` naming the file."""
+    """Load a pinned summary, refusing anything but an enveloped
+    ``golden-summary`` loudly with a :class:`ValueError` naming the file."""
     path = Path(path)
     data = json.loads(path.read_text(encoding="utf-8"))
     try:

@@ -579,8 +579,6 @@ def _semantic_scenario(spec: ScenarioSpec, check: _Check, path: str) -> None:
     """Cross-field checks for one scenario (collected, not raised)."""
     if spec.rate_per_site is not None and spec.utilization is not None:
         check.add(path, "give rate_per_site or utilization, not both")
-    if spec.arrival != "bursty" and "arrival_cv2" == "":  # pragma: no cover - guard
-        pass
     rho = spec.implied_utilization
     if spec.rate_per_site is not None and rho >= 1.0 and not spec.bounded:
         check.add(

@@ -8,7 +8,7 @@ Usage::
     python -m repro validation             # the §4.2 table
     python -m repro cutoff --cloud-rtt 24  # quick analytic cutoff query
     python -m repro sensitivity            # cutoff sensitivity sweeps
-    python -m repro dump --out results     # persist all figures as JSON
+    python -m repro dump --out results     # one result envelope per figure
     python -m repro campaign camp.yaml     # declarative scenario campaign
     python -m repro serve --port 8000      # HTTP/SSE campaign service
 
@@ -45,6 +45,7 @@ import os
 import sys
 from dataclasses import replace
 from itertools import count
+from pathlib import Path
 
 from repro.experiments.config import FAST, FULL, ExperimentConfig
 from repro.experiments.result import available, get_spec, run_experiment
@@ -88,11 +89,16 @@ def _cmd_sensitivity() -> int:
 
 
 def _cmd_dump(args: argparse.Namespace, cfg: ExperimentConfig) -> int:
-    from repro.experiments.persist import dump_all_figures
-
-    only = args.figures.split(",") if args.figures else None
-    written = dump_all_figures(cfg, args.out, only=only)
-    for name, path in written.items():
+    """``repro dump``: save each figure's ``experiment-result`` envelope."""
+    figures = [s.name for s in available() if s.name.startswith("fig")]
+    names = args.figures.split(",") if args.figures else figures
+    unknown = [n for n in names if n not in figures]
+    if unknown:
+        raise ValueError(f"unknown figures: {unknown}; known: {figures}")
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    for name in names:
+        path = run_experiment(name, cfg).save(out / f"{name}.json")
         print(f"wrote {name} -> {path}")
     return 0
 
@@ -355,8 +361,6 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "serve":
         return _cmd_serve(args)
     if args.command == "report":
-        from pathlib import Path
-
         from repro.experiments.paper_report import generate_report
 
         only = args.only.split(",") if args.only else None
@@ -392,7 +396,7 @@ def main(argv: list[str] | None = None) -> int:
     rep.add_argument("--only", default=None, help="comma-separated section filters")
     rep.add_argument("--full", action="store_true", help="publication-sized run")
     _add_common_args(rep)
-    dump = sub.add_parser("dump", help="persist figure results as JSON")
+    dump = sub.add_parser("dump", help="save each figure's result envelope as JSON")
     dump.add_argument("--out", default="results", metavar="DIR",
                       help="output directory (default: results)")
     dump.add_argument("--figures", default=None, help="comma-separated subset")

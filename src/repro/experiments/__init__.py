@@ -20,12 +20,6 @@ from repro.experiments.figures import (
     fig10_azure_per_site,
 )
 from repro.experiments.paper_report import generate_report
-from repro.experiments.persist import (
-    dump_all_figures,
-    dump_experiment,
-    load_result,
-    save_result,
-)
 from repro.experiments.result import (
     ExperimentResult,
     ExperimentSpec,
@@ -43,10 +37,6 @@ from repro.experiments.validation import validation_table
 
 __all__ = [
     "generate_report",
-    "dump_all_figures",
-    "dump_experiment",
-    "save_result",
-    "load_result",
     "ExperimentResult",
     "ExperimentSpec",
     "available",

@@ -1,32 +1,33 @@
 """One-shot markdown report of the full evaluation.
 
 :func:`generate_report` runs every figure experiment plus the
-validation table and renders a single markdown document — the
-machine-generated core of EXPERIMENTS.md, regenerable at any sizing
-with ``python -m repro report``.
+validation table through the experiment registry
+(:func:`~repro.experiments.result.run_experiment`) and renders a single
+markdown document — the machine-generated core of EXPERIMENTS.md,
+regenerable at any sizing with ``python -m repro report``.
 """
 
 from __future__ import annotations
 
 import time
 
-from repro.experiments import figures as F
-from repro.experiments import report as R
 from repro.experiments.config import FAST, ExperimentConfig
-from repro.experiments.validation import paper_formula_consistency, validation_table
+from repro.experiments.result import run_experiment
 
 __all__ = ["generate_report"]
 
+#: (section heading, registered experiment name), in report order.
 _SECTIONS = (
-    ("Figure 2 — spatial load skew", lambda c: R.render_fig2(F.fig2_spatial_skew(c))),
-    ("Figure 3 — mean latency, typical cloud", lambda c: R.render_sweep_figure(F.fig3_mean_typical(c))),
-    ("Figure 4 — mean latency, distant cloud", lambda c: R.render_sweep_figure(F.fig4_mean_distant(c))),
-    ("Figure 5 — tail latency, distant cloud", lambda c: R.render_sweep_figure(F.fig5_tail_distant(c))),
-    ("Figure 6 — latency distributions", lambda c: R.render_fig6(F.fig6_distribution(c))),
-    ("Figure 7 — cutoff utilization vs cloud RTT", lambda c: R.render_fig7(F.fig7_cutoff_utilizations(c))),
-    ("Figure 8 — Azure-like per-site workload", lambda c: R.render_fig8(F.fig8_azure_workload(c))),
-    ("Figure 9 — latency over time", lambda c: R.render_fig9(F.fig9_azure_latency(c))),
-    ("Figure 10 — per-site latency", lambda c: R.render_fig10(F.fig10_azure_per_site(c))),
+    ("Figure 2 — spatial load skew", "fig2"),
+    ("Figure 3 — mean latency, typical cloud", "fig3"),
+    ("Figure 4 — mean latency, distant cloud", "fig4"),
+    ("Figure 5 — tail latency, distant cloud", "fig5"),
+    ("Figure 6 — latency distributions", "fig6"),
+    ("Figure 7 — cutoff utilization vs cloud RTT", "fig7"),
+    ("Figure 8 — Azure-like per-site workload", "fig8"),
+    ("Figure 9 — latency over time", "fig9"),
+    ("Figure 10 — per-site latency", "fig10"),
+    ("Section 4.2 — analytic validation", "validation"),
 )
 
 
@@ -50,26 +51,13 @@ def generate_report(
     ]
     wanted = None if only is None else [s.lower() for s in only]
     ran = 0
-    for title, runner in _SECTIONS:
+    for title, name in _SECTIONS:
         if wanted is not None and not any(w in title.lower() for w in wanted):
             continue
         start = time.perf_counter()
-        body = runner(config)
+        body = run_experiment(name, config).text
         elapsed = time.perf_counter() - start
         parts += [f"## {title}", "", "```", body, "```", f"_({elapsed:.1f} s)_", ""]
-        ran += 1
-    if wanted is None or any("valid" in w for w in wanted):
-        rows = validation_table(config)
-        consistency = paper_formula_consistency()
-        parts += [
-            "## Section 4.2 — analytic validation",
-            "",
-            "```",
-            R.render_validation(rows),
-            f"formula unit consistency: {consistency}",
-            "```",
-            "",
-        ]
         ran += 1
     if ran == 0:
         raise ValueError(f"no sections match {only!r}")

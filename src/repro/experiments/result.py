@@ -6,14 +6,14 @@ JSON dumper, the markdown report — kept its own parallel table of
 runners and renderers.  This module collapses that into:
 
 * :class:`ExperimentResult` — the single result envelope: ``name``,
-  rendered ``text``, JSON-safe ``tables`` (named row-lists) and
-  ``series`` (named numeric columns) harvested from the runner's
-  structured result, ``metadata`` (config, description) and the original
-  ``raw`` object for code that wants the typed dataclass;
+  rendered ``text``, the runner's whole structured result in JSON form
+  (``data``), JSON-safe ``tables`` (named row-lists) and ``series``
+  (named numeric columns) harvested from it, ``metadata`` (config,
+  description) and the original ``raw`` object for code that wants the
+  typed dataclass;
 * :class:`ExperimentSpec` / :func:`register` — the experiment registry,
-  mapping a name to its runner and renderer once.  ``repro.cli`` builds
-  its command table from it, and :mod:`repro.experiments.persist` uses
-  it to materialize results;
+  mapping a name to its runner and renderer once.  The CLI (commands,
+  ``dump``) and the markdown report are built from it;
 * :func:`run_experiment` — run a registered experiment and wrap the
   outcome.
 
@@ -26,14 +26,17 @@ experiment emit windowed records with no per-experiment wiring.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
 from collections.abc import Callable
 from typing import Any
 
+import numpy as np
+
 from repro.experiments import figures as F
 from repro.experiments import report as R
 from repro.experiments.config import ExperimentConfig
+from repro.workload.service import DNNInferenceModel
 
 __all__ = [
     "ExperimentResult",
@@ -42,6 +45,7 @@ __all__ = [
     "get_spec",
     "available",
     "run_experiment",
+    "result_to_dict",
 ]
 
 
@@ -49,15 +53,13 @@ __all__ = [
 class ExperimentResult:
     """The envelope every experiment resolves to.
 
-    ``tables`` maps a dotted path inside the runner's structured result
-    to a list of flat row-dicts; ``series`` maps paths to numeric
-    columns.  Both are JSON-safe (NaN → ``None``) so ``as_dict`` /
-    ``save`` need no further conversion.  ``raw`` keeps the runner's
-    original typed result for in-process consumers and is *not*
-    persisted by :meth:`save` (its JSON projection is what ``tables`` /
-    ``series`` already carry, and the legacy
-    :func:`repro.experiments.persist.save_result` still persists it
-    whole).
+    ``data`` is the runner's whole structured result in JSON form
+    (:func:`result_to_dict`); ``tables`` maps a dotted path inside it to
+    a list of flat row-dicts and ``series`` maps paths to numeric
+    columns.  All three are JSON-safe (NaN → ``None``) so ``as_dict`` /
+    ``save`` need no further conversion, and ``save`` → ``load`` loses
+    nothing but ``raw``: the runner's original typed result, kept for
+    in-process consumers.
     """
 
     name: str
@@ -65,6 +67,7 @@ class ExperimentResult:
     tables: dict[str, list[dict]] = field(default_factory=dict)
     series: dict[str, list] = field(default_factory=dict)
     metadata: dict = field(default_factory=dict)
+    data: Any = None
     raw: Any = None
 
     def as_dict(self) -> dict:
@@ -79,17 +82,17 @@ class ExperimentResult:
         return wire.dump_experiment_result(self)
 
     def save(self, path: str | Path) -> Path:
-        """Persist the projection to ``path`` as indented JSON."""
+        """Persist the envelope to ``path`` as indented JSON."""
         from repro.experiments import schema as wire
 
         return wire.dump(self, path)
 
     @classmethod
     def load(cls, path: str | Path) -> "ExperimentResult":
-        """Load a persisted projection (enveloped or legacy shape).
+        """Load a result written by :meth:`save`.
 
-        The loaded result carries ``raw=None`` — only the JSON
-        projection crosses the file boundary.
+        The loaded result carries ``raw=None``; ``data`` holds the
+        runner's result in its JSON form.
         """
         from repro.experiments import schema as wire
 
@@ -148,13 +151,12 @@ def available() -> list[ExperimentSpec]:
 
 def run_experiment(name: str, config: ExperimentConfig) -> ExperimentResult:
     """Run a registered experiment and wrap its outcome in the envelope."""
-    from repro.experiments.persist import result_to_dict
-
     spec = get_spec(name)
     raw = spec.runner(config)
+    data = result_to_dict(raw)
     tables: dict[str, list[dict]] = {}
     series: dict[str, list] = {}
-    _harvest(result_to_dict(raw), "", tables, series)
+    _harvest(data, "", tables, series)
     return ExperimentResult(
         name=name,
         text=spec.renderer(raw),
@@ -165,8 +167,39 @@ def run_experiment(name: str, config: ExperimentConfig) -> ExperimentResult:
             "description": spec.description,
             "config": result_to_dict(config),
         },
+        data=data,
         raw=raw,
     )
+
+
+def result_to_dict(obj: Any) -> Any:
+    """Recursively convert a result object to JSON-safe types.
+
+    Handles dataclasses, NumPy arrays/scalars, mappings, sequences and
+    scalars; ``nan``/``inf`` become ``None`` (JSON has no representation
+    for them and silently emitting bare ``NaN`` breaks strict parsers).
+    """
+    if isinstance(obj, DNNInferenceModel):
+        return {
+            "saturation_rate": obj.saturation_rate,
+            "cores": obj.cores,
+            "cv2": obj.cv2,
+        }
+    if is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: result_to_dict(getattr(obj, f.name)) for f in fields(obj)}
+    if isinstance(obj, np.ndarray):
+        return [result_to_dict(x) for x in obj.tolist()]
+    if isinstance(obj, (np.floating, np.integer)):
+        obj = obj.item()
+    if isinstance(obj, float):
+        return obj if np.isfinite(obj) else None
+    if isinstance(obj, (str, int, bool)) or obj is None:
+        return obj
+    if isinstance(obj, dict):
+        return {str(k): result_to_dict(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [result_to_dict(x) for x in obj]
+    raise TypeError(f"cannot serialize {type(obj).__name__!r} to JSON")
 
 
 def _is_scalar(x: Any) -> bool:
@@ -182,7 +215,7 @@ def _flatten_row(row: dict, prefix: str = "") -> dict:
             flat.update(_flatten_row(value, path))
         elif _is_scalar(value):
             flat[path] = value
-        # nested lists stay only in ``raw`` — a cell must be a scalar
+        # nested lists stay only in ``data`` — a cell must be a scalar
     return flat
 
 
@@ -192,7 +225,7 @@ def _harvest(node: Any, prefix: str, tables: dict, series: dict) -> None:
     A list of dicts is a table (rows flattened to dotted scalar
     columns); a list of numbers (or ``None`` for NaN) is a series;
     dicts recurse with dotted prefixes.  Anything else stays only in
-    ``raw`` — harvesting is a view, not a round-trip.
+    ``data`` — harvesting is a view, not a round-trip.
     """
     if isinstance(node, dict):
         for key, value in node.items():

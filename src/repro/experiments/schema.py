@@ -17,11 +17,14 @@ shapes become public API, so they are pinned here, once:
   renaming a field requires a ``schema_version`` bump, which this
   reader refuses loudly (:class:`SchemaVersionError` naming both
   versions) instead of mis-parsing.
-* **Legacy tolerance.**  Documents written before the envelope existed
-  (golden summaries stamped ``magic: repro-golden``, bare
-  ``ExperimentResult.as_dict()`` dumps, telemetry records identified
-  only by ``type``) load through the same entry points; the golden
-  writer dual-stamps both shapes so older readers keep working.
+* **No pre-envelope shapes.**  A document without ``schema_version``
+  (old golden files marked only by ``magic``/``version``, bare
+  ``ExperimentResult.as_dict()`` dumps, unstamped telemetry records) is
+  refused with :class:`WireFormatError`; re-export it with this build
+  (golden files: ``repro campaign FILE --update-golden EXPECTED``).
+  The one kind still inferred is telemetry's: records carry
+  ``schema_version`` but keep ``type`` (``window``/``summary``) as
+  their discriminator.
 
 Everything that turns a result object into JSON text goes through
 :func:`dumps` / :func:`dump` (rule RPR011 flags raw ``json.dumps`` of
@@ -73,12 +76,6 @@ KINDS = (
     "campaign-job",
 )
 
-#: Legacy golden-file markers (pre-envelope format, still dual-stamped
-#: by :func:`dump_golden_summary` so old readers keep working).
-GOLDEN_MAGIC = "repro-golden"
-GOLDEN_LEGACY_VERSION = 1
-
-
 class WireFormatError(ValueError):
     """A document is structurally not a repro result envelope."""
 
@@ -99,18 +96,6 @@ def envelope(kind: str, body: dict[str, Any]) -> dict[str, Any]:
     return {"schema_version": SCHEMA_VERSION, "kind": kind, **body}
 
 
-def _legacy_kind(doc: dict[str, Any]) -> str | None:
-    """Infer the kind of a pre-envelope document, or ``None``."""
-    if doc.get("magic") == GOLDEN_MAGIC:
-        return "golden-summary"
-    rtype = doc.get("type")
-    if rtype in ("window", "summary"):
-        return f"telemetry-{rtype}"
-    if {"name", "tables", "series", "text"} <= set(doc):
-        return "experiment-result"
-    return None
-
-
 def parse_envelope(
     doc: Any, *, expect: str | None = None
 ) -> tuple[str, dict[str, Any]]:
@@ -127,37 +112,29 @@ def parse_envelope(
         )
     version = doc.get("schema_version")
     if version is None:
-        kind = _legacy_kind(doc)
-        if kind is None:
-            raise WireFormatError(
-                "document carries neither schema_version nor a recognizable "
-                "legacy shape (golden magic, telemetry type, result fields)"
-            )
-        if kind == "golden-summary" and doc.get("version") not in (
-            None, GOLDEN_LEGACY_VERSION,
-        ):
-            raise WireFormatError(
-                f"legacy golden format version {doc.get('version')!r}; this "
-                f"build reads {GOLDEN_LEGACY_VERSION}"
-            )
-    else:
-        if isinstance(version, bool) or not isinstance(version, int):
-            raise WireFormatError(
-                f"schema_version must be an integer, got {version!r}"
-            )
-        if version > SCHEMA_VERSION:
-            raise SchemaVersionError(
-                f"document has schema_version {version}, this build reads "
-                f"{SCHEMA_VERSION}; upgrade repro (or re-export the document "
-                "with the older writer)"
-            )
-        if version < 1:
-            raise WireFormatError(f"schema_version must be >= 1, got {version}")
-        kind = doc.get("kind") or _legacy_kind(doc)
-        if kind is None:
-            raise WireFormatError("enveloped document is missing its 'kind'")
-        if kind not in KINDS:
-            raise WireFormatError(f"unknown document kind {kind!r}; known: {KINDS}")
+        raise WireFormatError(
+            "document carries no schema_version; pre-envelope shapes are not "
+            "read — re-export it with this build (golden files: repro "
+            "campaign FILE --update-golden EXPECTED)"
+        )
+    if isinstance(version, bool) or not isinstance(version, int):
+        raise WireFormatError(f"schema_version must be an integer, got {version!r}")
+    if version > SCHEMA_VERSION:
+        raise SchemaVersionError(
+            f"document has schema_version {version}, this build reads "
+            f"{SCHEMA_VERSION}; upgrade repro (or re-export the document "
+            "with the older writer)"
+        )
+    if version < 1:
+        raise WireFormatError(f"schema_version must be >= 1, got {version}")
+    kind = doc.get("kind")
+    if kind is None and doc.get("type") in ("window", "summary"):
+        # Telemetry records keep ``type`` as their discriminator.
+        kind = f"telemetry-{doc['type']}"
+    if kind is None:
+        raise WireFormatError("enveloped document is missing its 'kind'")
+    if kind not in KINDS:
+        raise WireFormatError(f"unknown document kind {kind!r}; known: {KINDS}")
     if expect is not None and kind != expect:
         raise WireFormatError(f"expected a {expect!r} document, got {kind!r}")
     return kind, doc
@@ -199,17 +176,18 @@ def dump_experiment_result(result: Any) -> dict[str, Any]:
             "metadata": result.metadata,
             "tables": result.tables,
             "series": result.series,
+            "data": result.data,
             "text": result.text,
         },
     )
 
 
 def load_experiment_result(doc: Any) -> Any:
-    """Enveloped (or legacy ``as_dict``) document → ``ExperimentResult``.
+    """Enveloped document → ``ExperimentResult``.
 
     ``raw`` is not on the wire, so the loaded result carries
-    ``raw=None`` — the JSON projection in ``tables``/``series`` is the
-    portable content.
+    ``raw=None``; ``data`` is the runner's result in JSON form (``None``
+    for documents written before ``data`` was added).
     """
     from repro.experiments.result import ExperimentResult
 
@@ -220,7 +198,7 @@ def load_experiment_result(doc: Any) -> Any:
         tables=dict(doc.get("tables", {})),
         series=dict(doc.get("series", {})),
         metadata=dict(doc.get("metadata", {})),
-        raw=None,
+        data=doc.get("data"),
     )
 
 
@@ -312,29 +290,20 @@ def load_campaign_result(doc: Any) -> Any:
 # ---------------------------------------------------------------------------
 
 def dump_golden_summary(result: Any) -> dict[str, Any]:
-    """``CampaignResult`` → pinnable golden summary (dual-stamped).
-
-    Carries both the unified envelope and the legacy
-    ``magic``/``version`` markers, so a golden file written by this
-    build still loads in pre-envelope checkouts during the deprecation
-    window.
-    """
-    doc = envelope(
+    """``CampaignResult`` → enveloped, pinnable golden summary."""
+    return envelope(
         "golden-summary",
         {
-            "magic": GOLDEN_MAGIC,
-            "version": GOLDEN_LEGACY_VERSION,
             "campaign": result.campaign,
             "seed": result.seed,
             "scenarios": _runs_payload(result),
             "quarantined": sorted([q.name, q.reason] for q in result.quarantined),
         },
     )
-    return doc
 
 
 def load_golden_summary(doc: Any) -> dict[str, Any]:
-    """Golden document (enveloped or legacy) → the differ's canonical dict."""
+    """Golden document → the differ's canonical dict."""
     _, doc = parse_envelope(doc, expect="golden-summary")
     return {
         "campaign": doc.get("campaign"),
@@ -388,7 +357,7 @@ def to_document(obj: Any) -> dict[str, Any]:
 
 
 def load_document(doc: Any) -> Any:
-    """Parse any enveloped/legacy document into its typed object.
+    """Parse any enveloped document into its typed object.
 
     Kinds without an in-process type (telemetry records, golden
     summaries, salvage reports) return the validated payload dict.
@@ -418,5 +387,5 @@ def dump(obj: Any, path: str | Path, *, indent: int | None = 2) -> Path:
 
 
 def load(path: str | Path) -> Any:
-    """Read and parse one enveloped/legacy document from a file."""
+    """Read and parse one enveloped document from a file."""
     return load_document(json.loads(Path(path).read_text(encoding="utf-8")))

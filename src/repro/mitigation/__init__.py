@@ -13,7 +13,6 @@
 
 from repro.mitigation.admission import (
     AdaptiveAdmission,
-    AdmissionControlledStation,
     AIMDConcurrencyLimit,
     ConcurrencyLimit,
     GradientConcurrencyLimit,
@@ -35,7 +34,6 @@ __all__ = [
     "SkewAwarePlan",
     "plan_capacity",
     "rebalance_to_budget",
-    "AdmissionControlledStation",
     "OccupancyAdmission",
     "TokenBucketAdmission",
     "ConcurrencyLimit",

@@ -28,10 +28,9 @@ request classes (``Request.priority``; 0 = most important) see scaled
 fractions of the limit, so sheddable traffic is refused first and
 high-priority goodput survives overload nearly untouched.
 
-Policies plug into a :class:`~repro.sim.station.Station` directly via
-its ``admission=`` parameter (rejections surface with outcome
-``"rejected"`` and count in ``station.rejected``); the legacy
-:class:`AdmissionControlledStation` wrapper is kept for standalone use.
+Policies plug into a :class:`~repro.sim.station.Station` via its
+``admission=`` parameter (rejections surface with outcome
+``"rejected"``, count in ``station.rejected`` and go to ``on_reject``).
 """
 
 from __future__ import annotations
@@ -40,14 +39,12 @@ import math
 from abc import ABC, abstractmethod
 from collections.abc import Mapping
 
-from repro.sim.engine import Simulation
 from repro.sim.request import Request
 from repro.sim.station import Station
 
 __all__ = [
     "OccupancyAdmission",
     "TokenBucketAdmission",
-    "AdmissionControlledStation",
     "ConcurrencyLimit",
     "StaticConcurrencyLimit",
     "AIMDConcurrencyLimit",
@@ -356,46 +353,3 @@ class AdaptiveAdmission:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"AdaptiveAdmission(limit={self.limit!r}, offered={self.offered})"
-
-
-class AdmissionControlledStation:
-    """A station fronted by an admission policy (standalone wrapper).
-
-    Prefer ``Station(..., admission=policy)``, which routes rejections
-    through the deployment return leg and feeds adaptive limits; this
-    wrapper remains for driving a bare station directly.  It exposes the
-    same ``arrive`` interface as a plain station, so it can stand behind
-    deployments unchanged; rejected requests are counted and optionally
-    handed to ``on_reject``.
-    """
-
-    def __init__(self, sim: Simulation, station: Station, policy, on_reject=None):
-        self.sim = sim
-        self.station = station
-        self.policy = policy
-        self.on_reject = on_reject
-        self.rejected = 0
-        self.offered = 0
-
-    def arrive(self, request: Request) -> None:
-        """Admit into the backing station or reject at the door."""
-        self.offered += 1
-        if self.policy.admit(self.station, request, self.sim.now):
-            self.station.arrive(request)
-        else:
-            self.rejected += 1
-            # Mirror the built-in ``Station(..., admission=...)`` path: a
-            # door rejection is still an arrival, so the station's request
-            # conservation (arrivals = completions + refusals + in-flight)
-            # holds either way.
-            self.station.arrivals += 1
-            self.station.rejected += 1
-            if self.on_reject is not None:
-                self.on_reject(request)
-
-    @property
-    def rejection_rate(self) -> float:
-        """Fraction of offered requests rejected."""
-        if self.offered == 0:
-            return 0.0
-        return self.rejected / self.offered

@@ -4,8 +4,8 @@ Every result shape that crosses a process boundary — experiment
 results, campaign results, golden summaries, salvage reports, telemetry
 records — goes through :mod:`repro.experiments.schema`.  These tests
 pin the contract: dump→load→dump is a fixed point, unknown keys are
-tolerated (forward compatibility), newer majors are refused loudly,
-and the legacy pre-envelope artifacts shipped in this repo still load.
+tolerated (forward compatibility), and newer majors and pre-envelope
+shapes are refused loudly.
 """
 
 import json
@@ -164,10 +164,15 @@ class TestTelemetry:
         with pytest.raises(SchemaError, match="schema_version"):
             validate_record(record)
 
+    def test_stamped_record_loads_through_load_document(self):
+        record = wire.stamp_telemetry({"type": "window", "t_start": 0.0, "t_end": 5.0})
+        assert wire.load_document(record) is record
+        assert wire.parse_envelope(record)[0] == "telemetry-window"
+
 
 class TestLegacyArtifacts:
     def test_shipped_golden_still_loads(self):
-        """The pre-envelope golden pinned in-repo keeps loading clean."""
+        """The golden pinned in-repo loads clean."""
         path = REPO / "scenarios" / "golden" / "expected.json"
         expected = load_golden(path)
         assert expected["campaign"] == "golden"
@@ -175,20 +180,22 @@ class TestLegacyArtifacts:
         assert len(expected["scenarios"]) == 8
         assert expected["quarantined"] == []
 
-    def test_legacy_golden_without_envelope_parses(self, campaign_result):
-        doc = wire.dump_golden_summary(campaign_result)
-        legacy = {k: v for k, v in doc.items()
-                  if k not in ("schema_version", "kind")}
-        assert legacy["magic"] == wire.GOLDEN_MAGIC
-        kind, _ = wire.parse_envelope(legacy)
-        assert kind == "golden-summary"
-
-    def test_legacy_experiment_result_parses(self, experiment_result):
-        doc = wire.dump_experiment_result(experiment_result)
-        legacy = {k: v for k, v in doc.items()
-                  if k not in ("schema_version", "kind")}
-        loaded = wire.load_experiment_result(legacy)
-        assert loaded.name == experiment_result.name
+    @pytest.mark.parametrize(
+        "shape", ["golden-magic", "bare-as-dict", "unstamped-telemetry"]
+    )
+    def test_pre_envelope_document_is_refused(
+        self, shape, campaign_result, experiment_result
+    ):
+        if shape == "golden-magic":
+            doc = wire.dump_golden_summary(campaign_result)
+            doc |= {"magic": "repro-golden", "version": 1}
+        elif shape == "bare-as-dict":
+            doc = wire.dump_experiment_result(experiment_result)
+        else:
+            doc = {"type": "summary", "t_end": 1.0, "windows": 0}
+        doc = {k: v for k, v in doc.items() if k not in ("schema_version", "kind")}
+        with pytest.raises(wire.WireFormatError, match="schema_version"):
+            wire.load_document(doc)
 
     def test_garbage_is_refused(self):
         with pytest.raises(wire.WireFormatError):

@@ -5,16 +5,11 @@ import json
 import numpy as np
 import pytest
 
+from repro.cli import main
 from repro.core.scenarios import TYPICAL_CLOUD
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.figures import fig2_spatial_skew, fig6_distribution
-from repro.experiments.persist import (
-    _FIGURE_RUNNERS,
-    dump_all_figures,
-    load_result,
-    result_to_dict,
-    save_result,
-)
+from repro.experiments.figures import fig2_spatial_skew
+from repro.experiments.result import ExperimentResult, result_to_dict, run_experiment
 from repro.experiments.sensitivity import (
     cutoff_vs_cores,
     cutoff_vs_delta_n,
@@ -80,28 +75,39 @@ class TestResultToDict:
             result_to_dict(object())
 
 
+def _reject_constant(token):
+    raise ValueError(f"non-strict JSON token {token}")
+
+
 class TestSaveLoad:
     def test_round_trip(self, tmp_path):
-        res = fig6_distribution(TINY)
-        path = tmp_path / "fig6.json"
-        save_result(res, path)
-        loaded = load_result(path)
-        assert loaded["rate"] == 10.0
-        assert loaded["edge"]["count"] > 0
+        """save → load keeps the runner's whole result under ``data``."""
+        result = run_experiment("fig6", TINY)
+        path = result.save(tmp_path / "fig6.json")
+        loaded = ExperimentResult.load(path)
+        assert loaded.data == result_to_dict(result.raw)
+        assert loaded.data["rate"] == 10.0
+        assert loaded.data["edge"]["count"] > 0
         # Strict JSON (no bare NaN tokens).
-        json.loads(path.read_text())
+        json.loads(path.read_text(), parse_constant=_reject_constant)
 
-    def test_dump_subset(self, tmp_path):
-        written = dump_all_figures(TINY, tmp_path, only=["fig2"])
-        assert set(written) == {"fig2"}
-        assert written["fig2"].exists()
-        assert load_result(written["fig2"])["skew"]["cell_cv"] > 0
+    def test_dump_subset(self, tmp_path, capsys):
+        assert main(["dump", "--out", str(tmp_path), "--figures", "fig2"]) == 0
+        assert [p.name for p in tmp_path.iterdir()] == ["fig2.json"]
+        loaded = ExperimentResult.load(tmp_path / "fig2.json")
+        assert loaded.data["skew"]["cell_cv"] > 0
 
     def test_dump_unknown_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            dump_all_figures(TINY, tmp_path, only=["fig99"])
+        for name in ("fig99", "validation"):  # only registered figures dump
+            with pytest.raises(ValueError, match=name):
+                main(["dump", "--out", str(tmp_path), "--figures", name])
 
-    def test_all_runners_registered(self):
-        assert set(_FIGURE_RUNNERS) == {
+    def test_all_runners_registered(self, tmp_path, monkeypatch, capsys):
+        """``dump`` without ``--figures`` saves the nine paper figures."""
+        monkeypatch.setattr(
+            "repro.cli.run_experiment", lambda name, cfg: ExperimentResult(name, "")
+        )
+        assert main(["dump", "--out", str(tmp_path)]) == 0
+        assert {p.stem for p in tmp_path.iterdir()} == {
             "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10",
         }

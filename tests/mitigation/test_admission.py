@@ -7,7 +7,6 @@ import pytest
 
 from repro.mitigation.admission import (
     AdaptiveAdmission,
-    AdmissionControlledStation,
     AIMDConcurrencyLimit,
     GradientConcurrencyLimit,
     OccupancyAdmission,
@@ -22,12 +21,12 @@ from repro.sim.station import Station
 MU = 13.0
 
 
-def drive(controlled, sim, rate, duration, rng):
+def drive(station, sim, rate, duration, rng):
     ids = count()
 
     def gen():
         if sim.now < duration:
-            controlled.arrive(Request(next(ids), created=sim.now))
+            station.arrive(Request(next(ids), created=sim.now))
             sim.schedule(rng.exponential(1.0 / rate), gen)
 
     sim.schedule(0.0, gen)
@@ -37,14 +36,13 @@ def drive(controlled, sim, rate, duration, rng):
 class TestOccupancyAdmission:
     def test_rejects_when_full(self):
         sim = Simulation(0)
-        st = Station(sim, 1, Deterministic(10.0))
-        ctl = AdmissionControlledStation(sim, st, OccupancyAdmission(limit=2.0))
+        st = Station(sim, 1, Deterministic(10.0), admission=OccupancyAdmission(limit=2.0))
         for i in range(5):
-            sim.schedule(0.0, ctl.arrive, Request(i, created=0.0))
+            sim.schedule(0.0, st.arrive, Request(i, created=0.0))
         sim.run(until=1.0)
         # 1 in service + 1 queued = in_system 2 = limit -> rest rejected.
-        assert ctl.rejected == 3
-        assert ctl.rejection_rate == pytest.approx(0.6)
+        assert st.rejected == 3
+        assert st.refusal_rate == pytest.approx(0.6)
 
     def test_bounds_latency_during_overload(self):
         sim = Simulation(1)
@@ -52,20 +50,19 @@ class TestOccupancyAdmission:
         st = Station(
             sim, 1, Exponential(1.0 / MU),
             on_departure=lambda r: done.append(r.service_start - r.arrived),
+            admission=OccupancyAdmission(limit=4.0),
         )
-        ctl = AdmissionControlledStation(sim, st, OccupancyAdmission(limit=4.0))
-        drive(ctl, sim, rate=30.0, duration=300.0, rng=sim.spawn_rng())  # rho=2.3
+        drive(st, sim, rate=30.0, duration=300.0, rng=sim.spawn_rng())  # rho=2.3
         waits = np.array(done)
-        assert ctl.rejection_rate > 0.4  # sheds most of the overload
+        assert st.refusal_rate > 0.4  # sheds most of the overload
         # Waits bounded by ~limit services each.
         assert waits.max() < 10 * (4.0 / MU)
 
     def test_admits_everything_when_idle(self):
         sim = Simulation(2)
-        st = Station(sim, 4, Exponential(1.0 / MU))
-        ctl = AdmissionControlledStation(sim, st, OccupancyAdmission(limit=2.0))
-        drive(ctl, sim, rate=2.0, duration=200.0, rng=sim.spawn_rng())
-        assert ctl.rejection_rate < 0.01
+        st = Station(sim, 4, Exponential(1.0 / MU), admission=OccupancyAdmission(limit=2.0))
+        drive(st, sim, rate=2.0, duration=200.0, rng=sim.spawn_rng())
+        assert st.refusal_rate < 0.01
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -73,50 +70,50 @@ class TestOccupancyAdmission:
 
     def test_rate_zero_before_traffic(self):
         sim = Simulation(0)
-        st = Station(sim, 1, Exponential(1.0))
-        ctl = AdmissionControlledStation(sim, st, OccupancyAdmission(1.0))
-        assert ctl.rejection_rate == 0.0
+        st = Station(sim, 1, Exponential(1.0), admission=OccupancyAdmission(1.0))
+        assert st.refusal_rate == 0.0
 
 
 class TestTokenBucketAdmission:
     def test_burst_then_throttle(self):
         sim = Simulation(0)
-        st = Station(sim, 10, Deterministic(0.001))
         policy = TokenBucketAdmission(rate=1.0, burst=3.0)
-        ctl = AdmissionControlledStation(sim, st, policy)
+        st = Station(sim, 10, Deterministic(0.001), admission=policy)
         # 5 instantaneous arrivals: 3 admitted (bucket), 2 rejected.
         for i in range(5):
-            sim.schedule(0.0, ctl.arrive, Request(i, created=0.0))
+            sim.schedule(0.0, st.arrive, Request(i, created=0.0))
         sim.run(until=0.5)
-        assert ctl.rejected == 2
+        assert st.rejected == 2
 
     def test_tokens_refill_over_time(self):
         sim = Simulation(0)
-        st = Station(sim, 10, Deterministic(0.001))
-        ctl = AdmissionControlledStation(sim, st, TokenBucketAdmission(rate=2.0, burst=1.0))
+        st = Station(
+            sim, 10, Deterministic(0.001), admission=TokenBucketAdmission(rate=2.0, burst=1.0)
+        )
         # One request per second at refill rate 2/s: all admitted.
         for i in range(5):
-            sim.schedule(float(i), ctl.arrive, Request(i, created=float(i)))
+            sim.schedule(float(i), st.arrive, Request(i, created=float(i)))
         sim.run()
-        assert ctl.rejected == 0
+        assert st.rejected == 0
 
     def test_sustained_rate_enforced(self):
         sim = Simulation(3)
-        st = Station(sim, 50, Deterministic(0.001))
-        ctl = AdmissionControlledStation(sim, st, TokenBucketAdmission(rate=5.0, burst=5.0))
-        drive(ctl, sim, rate=20.0, duration=400.0, rng=sim.spawn_rng())
-        admitted_rate = (ctl.offered - ctl.rejected) / 400.0
+        st = Station(
+            sim, 50, Deterministic(0.001), admission=TokenBucketAdmission(rate=5.0, burst=5.0)
+        )
+        drive(st, sim, rate=20.0, duration=400.0, rng=sim.spawn_rng())
+        admitted_rate = (st.arrivals - st.rejected) / 400.0
         assert admitted_rate == pytest.approx(5.0, rel=0.1)
 
     def test_on_reject_callback(self):
         sim = Simulation(0)
-        st = Station(sim, 1, Deterministic(1.0))
         rejected = []
-        ctl = AdmissionControlledStation(
-            sim, st, TokenBucketAdmission(rate=0.1, burst=1.0), on_reject=rejected.append
+        st = Station(
+            sim, 1, Deterministic(1.0),
+            admission=TokenBucketAdmission(rate=0.1, burst=1.0), on_reject=rejected.append,
         )
         for i in range(3):
-            sim.schedule(0.0, ctl.arrive, Request(i, created=0.0))
+            sim.schedule(0.0, st.arrive, Request(i, created=0.0))
         sim.run(until=0.5)
         assert len(rejected) == 2
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cli import main
-from repro.experiments.result import available
+from repro.experiments.result import ExperimentResult, available
 
 
 class TestCliBasics:
@@ -50,7 +50,7 @@ class TestDumpCommand:
         assert main(["dump", "--out", str(tmp_path), "--figures", "fig2"]) == 0
         out = capsys.readouterr().out
         assert "fig2" in out
-        assert (tmp_path / "fig2.json").exists()
+        assert ExperimentResult.load(tmp_path / "fig2.json").name == "fig2"
 
     def test_dump_unknown_figure(self, tmp_path):
         with pytest.raises(ValueError):

@@ -121,12 +121,12 @@ class TestRunExperiment:
 
 class TestCompatibilityShims:
     def test_dump_experiment_writes_envelope(self, tmp_path):
-        from repro.experiments.persist import dump_experiment
-
-        path = dump_experiment("fig2", TINY, tmp_path / "fig2.json")
+        path = run_experiment("fig2", TINY).save(tmp_path / "fig2.json")
         loaded = json.loads(path.read_text())
+        assert loaded["kind"] == "experiment-result"
         assert loaded["name"] == "fig2"
         assert loaded["metadata"]["description"]
+        assert loaded["data"]["skew"]["cell_cv"] > 0
 
     def test_render_result_header(self):
         from repro.experiments.report import render_result
