@@ -30,9 +30,10 @@ from repro.sim.runner import run_deployment
 
 #: Multiple of the disabled-mode runtime that fully-enabled telemetry
 #: (spans on, 1 s windows, in-memory export) may cost.  Full tracing of
-#: a pure-Python event loop measures ~2.2× (four span objects plus four
-#: P² updates per completion); the bound leaves headroom for CI noise
-#: while still catching an accidental O(n·windows) regression.
+#: a pure-Python event loop measures ~1.9× (median of 8 interleaved
+#: rounds on a 2-vCPU Xeon; four span objects and one latency append
+#: per completion); the bound leaves headroom for CI noise while still
+#: catching an accidental O(n·windows) regression.
 ENABLED_OVERHEAD_BOUND = 3.0
 
 
@@ -70,7 +71,7 @@ def test_event_engine_enabled(benchmark):
 
     def run():
         with obs.installed(
-            lambda: obs.Telemetry(window=1.0, exporters=[obs.InMemoryExporter()])
+            lambda: obs.Telemetry(window=1.0, spans=True, exporters=[obs.InMemoryExporter()])
         ):
             return _run()
 
@@ -83,7 +84,7 @@ def test_disabled_vs_enabled_overhead():
 
     def enabled():
         with obs.installed(
-            lambda: obs.Telemetry(window=1.0, exporters=[obs.InMemoryExporter()])
+            lambda: obs.Telemetry(window=1.0, spans=True, exporters=[obs.InMemoryExporter()])
         ):
             _run()
 

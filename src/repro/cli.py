@@ -226,8 +226,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         )
         if state_dir is None:
             state_dir = args.checkpoint
-    # SSE telemetry rides the in-process (serial) path only; with
-    # fanned-out scenario workers there are no spans to bridge.
+    # SSE telemetry rides the in-process (serial) path only; fanned-out
+    # scenario workers run in other processes, whose telemetry windows
+    # could never reach this process's event bus.
     window = None
     if resolve_workers(args.workers) == 1:
         window = args.telemetry_window

@@ -98,7 +98,7 @@ def pulse_timeline(
     extra = list(outer.exporters) if outer is not None else []
     factory = lambda: obs.Telemetry(  # noqa: E731 - scoped enablement
         window=window,
-        quantiles=(0.5, 0.95),
+        spans=True,
         exporters=[exporter, *extra],
         label="pulse/aimd",
     )
@@ -169,7 +169,7 @@ def pulse_timeline(
         rows=rows,
         completed=tel.completed,
         refused_total=sum(tel.refused.values()),
-        span_count=tel.spans.recorded,
+        span_count=len(tel.spans),
         max_reconciliation_error=max_err,
     )
 

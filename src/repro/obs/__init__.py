@@ -5,15 +5,16 @@ queue versus service.  Before this subsystem the answer existed only
 post-hoc, by crunching a :class:`~repro.sim.tracing.RequestLog` after
 the run; ``repro.obs`` makes it observable while the run happens:
 
-* :mod:`repro.obs.metrics` — a registry of counters, gauges and
-  streaming quantile sketches that stations, load balancers, admission
-  controllers and resilient clients publish into;
+* :mod:`repro.obs.metrics` — a registry of pull-model gauges that
+  stations, load balancers, admission controllers and resilient clients
+  publish readers into;
 * :mod:`repro.obs.spans` — causally linked per-request spans (network
   legs, queue wait, service, retry/hedge attempts, failover hops) whose
   durations decompose end-to-end latency exactly into the paper's
-  :math:`n + w + s` terms;
+  :math:`n + w + s` terms, recorded only when asked for
+  (``Telemetry(spans=True)``);
 * :mod:`repro.obs.windows` — a windowed collector snapshotting
-  throughput, p50/p95, per-station occupancy and the
+  throughput, exact p50/p95, per-station occupancy and the
   rejected/dropped/shed taxonomy every Δt of virtual time;
 * :mod:`repro.obs.exporters` — JSON-lines, console-table and in-memory
   sinks; :mod:`repro.obs.schema` validates the JSON-lines contract.
@@ -41,15 +42,16 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from repro.obs.exporters import (
     ConsoleTableExporter,
     Exporter,
     InMemoryExporter,
     JsonLinesExporter,
 )
-from repro.obs.metrics import Counter, Gauge, MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.provider import current_telemetry, install, installed, uninstall
-from repro.obs.quantile import P2Quantile, QuantileSketch
 from repro.obs.schema import SchemaError, validate_record, validate_telemetry_file
 from repro.obs.spans import Span, SpanRecorder, request_spans
 from repro.obs.windows import WindowedCollector
@@ -61,10 +63,6 @@ __all__ = [
     "installed",
     "current_telemetry",
     "MetricsRegistry",
-    "Counter",
-    "Gauge",
-    "P2Quantile",
-    "QuantileSketch",
     "Span",
     "SpanRecorder",
     "request_spans",
@@ -86,13 +84,10 @@ class Telemetry:
     ----------
     window:
         Windowed-collector period in virtual seconds.
-    quantiles:
-        Latency quantiles tracked per window and for the whole run.
     spans:
-        Record per-request spans (set ``False`` to keep only metrics and
-        windows on very large runs).
-    span_limit:
-        Retain only the most recent N spans (``None`` = all).
+        Record per-request spans (about four ``Span`` objects per
+        request, all retained).  Off by default: only code that reads
+        :attr:`spans` should pay for them.
     exporters:
         Sinks receiving window and summary records.
     label:
@@ -104,22 +99,19 @@ class Telemetry:
         self,
         *,
         window: float = 1.0,
-        quantiles: tuple[float, ...] = (0.5, 0.95),
-        spans: bool = True,
-        span_limit: int | None = None,
+        spans: bool = False,
         exporters: tuple | list = (),
         label: str = "",
     ):
         self.metrics = MetricsRegistry()
-        self.spans = SpanRecorder(span_limit) if spans else None
-        self.windows = WindowedCollector(window, quantiles)
+        self.spans = SpanRecorder() if spans else None
+        self.windows = WindowedCollector(window)
         self.exporters = list(exporters)
         self.label = label
         self.sim = None
         self.completed = 0
         self.failed_operations = 0
         self.refused = {"rejected": 0, "dropped": 0, "shed": 0}
-        self._latency = self.metrics.sketch("latency.end_to_end", quantiles)
         self._station_names: set[str] = set()
         self._client_names: set[str] = set()
         self._prefixes: set[str] = set()
@@ -204,7 +196,6 @@ class Telemetry:
     def record_success(self, request) -> None:
         """One request served and returned to its client."""
         self.completed += 1
-        self._latency.add(request.end_to_end)
         self.windows.record_success(request)
         if self.spans is not None:
             self.spans.record_request(request)
@@ -265,10 +256,19 @@ class Telemetry:
         from repro.experiments.schema import stamp_telemetry
 
         self.windows.flush()
+        # Whole-run latency is exact over the collector's buffer of every
+        # served request's end-to-end latency.
+        latencies = self.windows.latencies
+        n = len(latencies)
+        p50, p95 = np.quantile(latencies, (0.5, 0.95)) if n else (math.nan, math.nan)
         snapshot = {
-            k: (v if v is not None and math.isfinite(v) else None)
-            for k, v in self.metrics.snapshot().items()
+            **self.metrics.snapshot(),
+            "latency.end_to_end.count": float(n),
+            "latency.end_to_end.mean": sum(latencies) / n if n else math.nan,
+            "latency.end_to_end.p50": float(p50),
+            "latency.end_to_end.p95": float(p95),
         }
+        snapshot = {k: (v if math.isfinite(v) else None) for k, v in snapshot.items()}
         summary = {
             "type": "summary",
             "t_end": self.sim.now if self.sim is not None else 0.0,

@@ -1,18 +1,12 @@
-"""Metrics registry: counters, gauges and quantile sketches by name.
+"""Metrics registry: named pull-model gauges.
 
 The registry is the shared namespace components publish into — stations,
-load balancers, admission controllers and resilient clients each own a
-handful of named instruments, and a single :meth:`MetricsRegistry.snapshot`
-reads the whole system state at any virtual time.  Three instrument
-kinds, mirroring the usual production taxonomy:
-
-* :class:`Counter` — monotone event counts (arrivals, sheds, retries);
-* :class:`Gauge` — point-in-time levels, either pushed (``set``) or
-  *observed* by registering a zero-argument callable, which lets a
-  station expose ``queue_length`` without touching its hot path at all
-  (pull model — the cost is paid only when a snapshot is taken);
-* :class:`~repro.obs.quantile.QuantileSketch` — streaming latency
-  distributions (P², no full-array retention).
+load balancers, admission controllers and resilient clients each
+register a handful of zero-argument *readers* at construction, and a
+single :meth:`MetricsRegistry.snapshot` calls them all to read the whole
+system state at any virtual time.  A station exposes ``queue_length``
+without touching its hot path at all: the cost is paid only when a
+snapshot is taken.
 
 Metric names are dotted paths, ``<component>.<instrument>`` by
 convention (``station.s0.queue_length``, ``client.resilient.retries``);
@@ -21,128 +15,30 @@ the documented names live in ``docs/observability.md``.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Callable
 
-from repro.obs.quantile import QuantileSketch
-
-__all__ = ["Counter", "Gauge", "MetricsRegistry"]
-
-
-class Counter:
-    """A monotonically increasing event count."""
-
-    __slots__ = ("value",)
-
-    def __init__(self) -> None:
-        self.value = 0
-
-    def inc(self, n: int = 1) -> None:
-        """Add ``n`` (>= 0) events."""
-        self.value += n
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"Counter({self.value})"
-
-
-class Gauge:
-    """A point-in-time level: pushed via :meth:`set` or pulled via a callable."""
-
-    __slots__ = ("_value", "_fn")
-
-    def __init__(self, fn: Callable[[], float] | None = None) -> None:
-        self._value = math.nan
-        self._fn = fn
-
-    def set(self, value: float) -> None:
-        """Push a new level (ignored if the gauge is observed)."""
-        self._value = value
-
-    @property
-    def value(self) -> float:
-        """Current level (calls the observer for pull-model gauges)."""
-        if self._fn is not None:
-            return float(self._fn())
-        return self._value
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"Gauge({self.value})"
+__all__ = ["MetricsRegistry"]
 
 
 class MetricsRegistry:
-    """Named instruments, created on first use.
-
-    ``counter`` / ``gauge`` / ``sketch`` are get-or-create: the first
-    caller creates the instrument, later callers (and the snapshotter)
-    share it.  Re-registering a name as a different kind is an error —
-    that is always a bug in the instrumentation, not a configuration.
-    """
+    """Named readers, each called at snapshot time."""
 
     def __init__(self) -> None:
-        self._counters: dict[str, Counter] = {}
-        self._gauges: dict[str, Gauge] = {}
-        self._sketches: dict[str, QuantileSketch] = {}
+        self._gauges: dict[str, Callable[[], float]] = {}
 
-    def counter(self, name: str) -> Counter:
-        """Get or create the counter called ``name``."""
-        c = self._counters.get(name)
-        if c is None:
-            self._check_free(name, self._counters)
-            c = self._counters[name] = Counter()
-        return c
+    def gauge(self, name: str, fn: Callable[[], float]) -> None:
+        """Register ``fn`` as the reader of the gauge called ``name``.
 
-    def gauge(self, name: str, fn: Callable[[], float] | None = None) -> Gauge:
-        """Get or create the gauge called ``name``.
-
-        Passing ``fn`` registers a pull-model gauge whose level is read
-        by calling ``fn`` at snapshot time; the same name must not
-        already exist as a pushed gauge.
+        A name registers once; a second registration is always a bug in
+        the instrumentation, so it raises ``ValueError``.
         """
-        g = self._gauges.get(name)
-        if g is None:
-            self._check_free(name, self._gauges)
-            g = self._gauges[name] = Gauge(fn)
-        elif fn is not None:
+        if name in self._gauges:
             raise ValueError(f"gauge {name!r} already registered")
-        return g
-
-    def sketch(
-        self, name: str, quantiles: tuple[float, ...] = (0.5, 0.95, 0.99)
-    ) -> QuantileSketch:
-        """Get or create the quantile sketch called ``name``."""
-        s = self._sketches.get(name)
-        if s is None:
-            self._check_free(name, self._sketches)
-            s = self._sketches[name] = QuantileSketch(quantiles)
-        return s
-
-    def _check_free(self, name: str, owner: dict) -> None:
-        for kind in (self._counters, self._gauges, self._sketches):
-            if kind is not owner and name in kind:
-                raise ValueError(f"metric {name!r} already registered as another kind")
+        self._gauges[name] = fn
 
     def snapshot(self) -> dict[str, float]:
-        """Read every instrument into one flat ``name -> value`` mapping.
-
-        Sketches expand to ``<name>.count`` / ``.mean`` / ``.p50`` /
-        ``.p95`` / … sub-keys.
-        """
-        out: dict[str, float] = {}
-        for name, c in self._counters.items():
-            out[name] = float(c.value)
-        for name, g in self._gauges.items():
-            out[name] = g.value
-        for name, s in self._sketches.items():
-            for key, value in s.snapshot().items():
-                out[f"{name}.{key}"] = value
-        return out
-
-    def names(self) -> list[str]:
-        """All registered instrument names, sorted."""
-        return sorted({*self._counters, *self._gauges, *self._sketches})
+        """Read every gauge into one flat ``name -> value`` mapping."""
+        return {name: float(fn()) for name, fn in self._gauges.items()}
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"MetricsRegistry(counters={len(self._counters)}, "
-            f"gauges={len(self._gauges)}, sketches={len(self._sketches)})"
-        )
+        return f"MetricsRegistry(gauges={len(self._gauges)})"

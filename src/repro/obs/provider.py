@@ -43,7 +43,7 @@ __all__ = [
 class TelemetryFanoutError(ValueError, RuntimeError):
     """Telemetry (``--telemetry``) and fan-out (``--workers``) collided.
 
-    The installed factory is process-local: spans recorded in worker
+    The installed factory is process-local: telemetry recorded in worker
     processes could never reach this process's exporters, so the
     combination is refused rather than silently dropping records.
 

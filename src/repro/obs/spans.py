@@ -27,7 +27,6 @@ request instead of four hot-path hooks.
 from __future__ import annotations
 
 import math
-from collections import deque
 
 from repro.sim.request import Request
 
@@ -127,43 +126,26 @@ def request_spans(request: Request) -> list[Span]:
 
 
 class SpanRecorder:
-    """Accumulates spans, optionally bounded to the most recent ``limit``.
+    """Accumulates every recorded span, oldest first, in :attr:`spans`."""
 
-    A production trace store samples; here the bound keeps memory flat
-    on long runs while tests and the windowed collector read recent
-    traces.  ``limit=None`` retains everything (the default for
-    experiment-sized runs).
-    """
-
-    def __init__(self, limit: int | None = None):
-        if limit is not None and limit < 1:
-            raise ValueError(f"limit must be >= 1, got {limit}")
-        self._spans: deque[Span] = deque(maxlen=limit)
-        self.recorded = 0
+    def __init__(self) -> None:
+        self.spans: list[Span] = []
 
     def record(self, span: Span) -> None:
         """Store one span."""
-        self._spans.append(span)
-        self.recorded += 1
+        self.spans.append(span)
 
     def record_request(self, request: Request) -> None:
         """Derive and store the spans of one finished request."""
-        for span in request_spans(request):
-            self._spans.append(span)
-            self.recorded += 1
-
-    @property
-    def spans(self) -> list[Span]:
-        """Retained spans, oldest first."""
-        return list(self._spans)
+        self.spans.extend(request_spans(request))
 
     def __len__(self) -> int:
-        return len(self._spans)
+        return len(self.spans)
 
     def for_trace(self, trace_id: int) -> list[Span]:
-        """All retained spans of one logical operation, by start time."""
+        """All spans of one logical operation, by start time."""
         return sorted(
-            (s for s in self._spans if s.trace_id == trace_id), key=lambda s: (s.start, s.end)
+            (s for s in self.spans if s.trace_id == trace_id), key=lambda s: (s.start, s.end)
         )
 
     def decompose(self, trace_id: int) -> dict[str, float]:
@@ -179,4 +161,4 @@ class SpanRecorder:
         return out
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"SpanRecorder(retained={len(self._spans)}, recorded={self.recorded})"
+        return f"SpanRecorder(spans={len(self.spans)})"

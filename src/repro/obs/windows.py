@@ -2,8 +2,8 @@
 
 The :class:`WindowedCollector` is the "watch it happen" half of the
 observability layer: every ``dt`` of *virtual* time it closes a window
-and emits one record — throughput, streaming p50/p95 of end-to-end
-latency, the :math:`n + w + s` component sums, the refusal taxonomy and
+and emits one record — throughput, exact p50/p95 of end-to-end latency,
+the :math:`n + w + s` component sums, the refusal taxonomy and
 per-station occupancy/utilization — to the configured exporters.  The
 transient experiments (E10 retry storms, E11 overload pulses) are
 dynamic stories; these records are the data that tells them while the
@@ -14,10 +14,15 @@ Design constraints, in order:
 * **Zero cost when disabled** — the collector only exists inside an
   installed :class:`~repro.obs.Telemetry`; the simulator's hot paths
   check one attribute against ``None``.
-* **No full-array retention** — per-window latency quantiles come from
-  fresh P² sketches (:mod:`repro.obs.quantile`), station state from
-  counter deltas polled at window boundaries (pull model: the station
-  hot path is untouched).
+* **Exact percentiles from one retained buffer** — every served
+  request's end-to-end latency is appended to one ``array('d')``
+  (:attr:`WindowedCollector.latencies`), and a window's p50/p95 are one
+  ``np.quantile`` over its slice at window close.  That costs 8 bytes
+  per served request, beside the request log's nine float64 columns,
+  and makes every telemetry percentile exact — the tail is where the
+  paper's inversion shows first, so an estimate is not good enough
+  there.  Station state comes from counter deltas polled at window
+  boundaries (pull model: the station hot path is untouched).
 * **Self-terminating** — the boundary tick re-schedules itself only
   while other events remain, so a drained calendar ends the run exactly
   as it would without telemetry.
@@ -26,14 +31,15 @@ Design constraints, in order:
 from __future__ import annotations
 
 import math
+from array import array
 
-from repro.obs.quantile import QuantileSketch
+import numpy as np
 
 __all__ = ["WindowedCollector"]
 
 
 def _finite(x: float) -> float | None:
-    """JSON-safe float: NaN/inf become None (matching experiments.persist)."""
+    """JSON-safe float: NaN/inf become None (JSON has no NaN)."""
     return x if math.isfinite(x) else None
 
 
@@ -81,15 +87,14 @@ class WindowedCollector:
     ----------
     dt:
         Window length in virtual seconds.
-    quantiles:
-        End-to-end latency quantiles tracked per window (streaming P²).
     """
 
-    def __init__(self, dt: float = 1.0, quantiles: tuple[float, ...] = (0.5, 0.95)):
+    def __init__(self, dt: float = 1.0):
         if dt <= 0:
             raise ValueError(f"dt must be > 0, got {dt}")
         self.dt = float(dt)
-        self.quantiles = tuple(quantiles)
+        #: End-to-end latency of every served request, in completion order.
+        self.latencies = array("d")
         self.sim = None
         self.label = ""
         self.windows_emitted = 0
@@ -128,7 +133,7 @@ class WindowedCollector:
         self._e2e_sum = 0.0
         self._refused = {"rejected": 0, "dropped": 0, "shed": 0}
         self._failed_ops = 0
-        self._sketch = QuantileSketch(self.quantiles)
+        self._first = len(self.latencies)
 
     def record_success(self, request) -> None:
         """Fold one served request into the current window."""
@@ -138,7 +143,7 @@ class WindowedCollector:
         self._wait_sum += request.wait
         self._service_sum += request.service_time
         self._e2e_sum += e2e
-        self._sketch.add(e2e)
+        self.latencies.append(e2e)
 
     def record_refusal(self, request, outcome: str) -> None:
         """Fold one refused request (rejected / dropped / shed)."""
@@ -194,20 +199,21 @@ class WindowedCollector:
             return None
         from repro.experiments.schema import stamp_telemetry
 
-        q = self._sketch
+        latency = {"mean": None, "p50": None, "p95": None}
+        if self._completed:
+            p50, p95 = np.quantile(self.latencies[self._first:], (0.5, 0.95))
+            latency = {
+                "mean": self._e2e_sum / self._completed,
+                "p50": float(p50),
+                "p95": float(p95),
+            }
         record = {
             "type": "window",
             "t_start": self._window_start,
             "t_end": now,
             "completed": self._completed,
             "throughput": self._completed / span if span > 0 else 0.0,
-            "latency": {
-                "mean": _finite(q.mean),
-                **{
-                    f"p{p * 100:g}".replace(".", "_"): _finite(q.quantile(p))
-                    for p in self.quantiles
-                },
-            },
+            "latency": latency,
             "sums": {
                 "net": self._net_sum,
                 "wait": self._wait_sum,

@@ -22,6 +22,7 @@ from pathlib import Path
 import pytest
 
 from repro.campaign import compile_campaign, run_campaign
+from repro.obs import validate_record
 from repro.service import CampaignJob, EventBus, JobManager, create_server
 
 REPO = Path(__file__).resolve().parents[2]
@@ -317,6 +318,9 @@ class TestHTTP:
         assert "telemetry-window" in names  # obs bridged onto the bus
         summaries = [d for n, d in streams[0] if n == "telemetry-summary"]
         assert all(s["record"]["schema_version"] == 1 for s in summaries)
+        for name, data in streams[0]:
+            if name in ("telemetry-window", "telemetry-summary"):
+                validate_record(data["record"])
 
         # Idempotent re-POST returns the same (now finished) job.
         status, body = http_post(server + "/v1/campaigns", doc)
