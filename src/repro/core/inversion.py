@@ -36,10 +36,9 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 
-from scipy.optimize import brentq
-
 from repro.queueing.ggk import allen_cunneen_wait
 from repro.queueing.mmk import MMk, whitt_conditional_wait
+from repro.queueing.roots import brentq
 
 __all__ = [
     "delta_n_threshold_mm",

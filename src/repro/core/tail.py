@@ -21,9 +21,8 @@ empirically observed Figure 5 effect, now predicted analytically.
 
 from __future__ import annotations
 
-from scipy.optimize import brentq
-
 from repro.queueing.mmk import MMk
+from repro.queueing.roots import brentq
 from repro.queueing.tails import gg_response_percentile
 
 __all__ = [

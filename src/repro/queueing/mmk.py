@@ -12,9 +12,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.optimize import brentq
 
 from repro.queueing.base import ensure_stable
+from repro.queueing.roots import brentq
 
 __all__ = ["erlang_b", "erlang_c", "whitt_conditional_wait", "MMk"]
 

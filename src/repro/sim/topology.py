@@ -125,8 +125,6 @@ class EdgeDeployment:
             site.station.on_drop = self._on_drop
             site.station.on_shed = self._on_shed
             site.station.on_reject = self._on_reject
-            # Map station back to its site for the return wire leg.
-            site.station.site_ref = site  # type: ignore[attr-defined]
 
     def submit(self, request: Request) -> None:
         """Send a request from its client toward its home edge site."""

@@ -12,9 +12,20 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import stats as sps
 
 __all__ = ["batch_means_ci"]
+
+
+def _t_critical(confidence: float, dof: int) -> float:
+    """Two-sided Student-t critical value at ``confidence`` with ``dof`` degrees of freedom.
+
+    The one place :mod:`repro` imports SciPy: ``scipy.stats`` takes about
+    0.6 s to import, so it loads on the first interval computed, not with
+    :mod:`repro.stats`, which every simulation imports.
+    """
+    from scipy import stats
+
+    return float(stats.t.ppf(0.5 + confidence / 2.0, dof))
 
 
 def batch_means_ci(
@@ -45,5 +56,4 @@ def batch_means_ci(
     means = x[: per * batches].reshape(batches, per).mean(axis=1)
     grand = float(means.mean())
     se = float(means.std(ddof=1)) / math.sqrt(batches)
-    t = float(sps.t.ppf(0.5 + confidence / 2.0, batches - 1))
-    return grand, t * se
+    return grand, _t_critical(confidence, batches - 1) * se

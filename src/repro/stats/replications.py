@@ -22,9 +22,9 @@ from dataclasses import dataclass
 from collections.abc import Callable
 
 import numpy as np
-from scipy import stats as sps
 
 from repro.parallel import derive_seed, resolve_workers, run_tasks
+from repro.stats.ci import _t_critical
 
 __all__ = ["ReplicationSummary", "replicate", "replications_for_precision"]
 
@@ -58,8 +58,7 @@ class ReplicationSummary:
         """Student-t CI half-width at the configured confidence."""
         if self.n < 2:
             return math.inf
-        t = float(sps.t.ppf(0.5 + self.confidence / 2.0, self.n - 1))
-        return t * self.std / math.sqrt(self.n)
+        return _t_critical(self.confidence, self.n - 1) * self.std / math.sqrt(self.n)
 
     @property
     def relative_half_width(self) -> float:

@@ -5,6 +5,10 @@ lazy top-level exports must work (PEP 562 indirection is easy to break
 silently when moving symbols)."""
 
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -81,3 +85,34 @@ def test_api_facade_matches_deep_imports():
 
     assert api.run_campaign is run_campaign
     assert api.run_experiment is run_experiment
+
+
+def test_scipy_stays_off_the_import_path():
+    """Importing the program and every analytic prediction load no SciPy;
+    only a confidence interval imports ``scipy.stats``, on first use.
+
+    Runs in a fresh interpreter: this process has SciPy loaded already.
+    """
+    child = """
+import sys
+import repro.api, repro.campaign, repro.cli, repro.experiments.figures, repro.service
+from repro.core.comparator import EdgeCloudComparator
+from repro.core.scenarios import TYPICAL_CLOUD
+from repro.queueing.mmk import MMk
+
+EdgeCloudComparator(TYPICAL_CLOUD).predict_cutoff_utilization()
+MMk(5.0, 1.625, 8).response_time_percentile(0.95)
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+assert not loaded, f"{len(loaded)} SciPy modules loaded: {loaded[:5]}"
+
+import numpy as np
+from repro.stats import batch_means_ci
+
+batch_means_ci(np.arange(100.0))
+assert "scipy.stats" in sys.modules
+"""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", child], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
