@@ -6,9 +6,12 @@ it *predicts* the inversion cutoff analytically (Section 3) and
 *measures* it by simulation (Section 4), for both mean and tail (p95)
 latency.
 
-The measurement path uses the vectorized
-:mod:`repro.sim.fastsim` (cross-validated against the full DES engine in
-the integration tests) so a full Figure 7-style sweep runs in seconds.
+Each sweep point samples every site's arrivals and service times once
+and feeds the same arrays to the edge sites and, merged, to the cloud
+(the paper's "cumulative request trace").  The measurement runs on the
+vectorized :mod:`repro.sim.fastsim` recursion, so a full Figure 7-style
+sweep takes seconds; ``engine="des"`` replays the same arrays through
+the event engine instead and reproduces fastsim's numbers to rounding.
 """
 
 from __future__ import annotations
@@ -27,13 +30,13 @@ from repro.sim.fastsim import (
     simulate_lb_system,
     simulate_single_queue_system,
 )
-from repro.sim.loadbalancer import DispatchPolicy, JoinShortestQueue, RoundRobin
+from repro.sim.loadbalancer import JoinShortestQueue, RoundRobin
 from repro.stats.summary import LatencySummary, summarize
 from repro.workload.trace import RequestTrace
 
-#: Cloud dispatch models the fastsim layer can reproduce; anything else
-#: (a stateful DispatchPolicy instance, DES-only hooks) needs the engine.
-_FASTSIM_POLICIES = (None, "central", "round-robin", "jsq")
+#: Cloud dispatch models: the paper's central queue or an HAProxy-style
+#: balancer in front of one backend per cloud machine.
+_CLOUD_POLICIES = (None, "central", "round-robin", "jsq")
 
 __all__ = ["SweepPoint", "ComparisonResult", "EdgeCloudComparator"]
 
@@ -106,31 +109,19 @@ class EdgeCloudComparator:
     seed:
         Base RNG seed; each sweep point derives independent streams.
     warmup_fraction:
-        Leading fraction of requests dropped before summarizing.
+        Leading fraction of the sampled horizon dropped before
+        summarizing.
     cloud_policy:
         Cloud dispatch model: ``None``/``"central"`` (the paper's ideal
         central queue, the default), ``"round-robin"`` or ``"jsq"``
-        (HAProxy-style load balancing, reproducible by the fastsim
-        layer), or any :class:`~repro.sim.loadbalancer.DispatchPolicy`
-        instance (DES only).
-    cloud_backends:
-        Backend count behind the load balancer (default: one per cloud
-        machine).  Ignored for the central queue.
-    lb_overhead:
-        Extra one-way delay through the balancer, seconds.
-    hooks:
-        DES-only deployment hooks forwarded to
-        :func:`repro.sim.runner.run_deployment` (e.g. ``router=`` for
-        geographic load balancing).  Any non-empty mapping forces the
-        DES engine — the fastsim recursion cannot express
-        resilience/overload/failure behaviour.
+        (HAProxy-style load balancing over one backend per cloud
+        machine).
     engine:
-        ``"auto"`` (default) selects the vectorized fastsim whenever the
-        configuration has no DES-only hooks and a fastsim-capable cloud
-        policy, falling back to the event engine otherwise; ``"fastsim"``
-        and ``"des"`` force one side (``"fastsim"`` raises if the
-        configuration needs the DES).  The fastsim and DES paths are
-        cross-validated in the integration tests.
+        ``"fastsim"`` (default) runs the vectorized recursion;
+        ``"des"`` replays the same sampled workload through the event
+        engine (:func:`repro.sim.runner.run_deployment`).  Both give the
+        same numbers to rounding, except that JSQ breaks ties from a
+        different random stream on each engine.
     """
 
     def __init__(
@@ -141,11 +132,8 @@ class EdgeCloudComparator:
         arrival_cv2: float = 1.0,
         seed: int = 0,
         warmup_fraction: float = 0.1,
-        cloud_policy: "str | DispatchPolicy | None" = None,
-        cloud_backends: int | None = None,
-        lb_overhead: float = 0.0,
-        hooks: dict | None = None,
-        engine: str = "auto",
+        cloud_policy: str | None = None,
+        engine: str = "fastsim",
     ):
         if requests_per_site < 100:
             raise ValueError(f"requests_per_site too small: {requests_per_site}")
@@ -153,34 +141,19 @@ class EdgeCloudComparator:
             raise ValueError(f"arrival_cv2 must be >= 0, got {arrival_cv2}")
         if not 0.0 <= warmup_fraction < 1.0:
             raise ValueError(f"warmup_fraction must be in [0, 1), got {warmup_fraction}")
-        if engine not in ("auto", "fastsim", "des"):
-            raise ValueError(f"engine must be 'auto', 'fastsim' or 'des', got {engine!r}")
-        if not (cloud_policy in _FASTSIM_POLICIES or isinstance(cloud_policy, DispatchPolicy)):
+        if engine not in ("fastsim", "des"):
+            raise ValueError(f"engine must be 'fastsim' or 'des', got {engine!r}")
+        if cloud_policy not in _CLOUD_POLICIES:
             raise ValueError(
-                f"cloud_policy must be one of {_FASTSIM_POLICIES} or a "
-                f"DispatchPolicy instance, got {cloud_policy!r}"
+                f"cloud_policy must be one of {_CLOUD_POLICIES}, got {cloud_policy!r}"
             )
-        if cloud_backends is not None and cloud_backends < 1:
-            raise ValueError(f"cloud_backends must be >= 1, got {cloud_backends}")
-        if lb_overhead < 0:
-            raise ValueError(f"lb_overhead must be >= 0, got {lb_overhead}")
         self.scenario = scenario
         self.requests_per_site = int(requests_per_site)
         self.arrival_cv2 = float(arrival_cv2)
         self.seed = int(seed)
         self.warmup_fraction = float(warmup_fraction)
         self.cloud_policy = cloud_policy
-        self.cloud_backends = int(cloud_backends) if cloud_backends is not None else None
-        self.lb_overhead = float(lb_overhead)
-        self.hooks = dict(hooks) if hooks else {}
         self.engine = engine
-        fastsim_capable = not self.hooks and cloud_policy in _FASTSIM_POLICIES
-        if engine == "fastsim" and not fastsim_capable:
-            raise ValueError(
-                "engine='fastsim' cannot express this configuration "
-                "(DES-only hooks or a custom dispatch policy); use 'auto' or 'des'"
-            )
-        self._use_fastsim = engine != "des" and fastsim_capable
 
     # -- analytic side ---------------------------------------------------
     def predict_cutoff_utilization(self) -> float:
@@ -217,11 +190,9 @@ class EdgeCloudComparator:
     def measure_point(self, rate_per_site: float, seed_offset: int = 0) -> SweepPoint:
         """Simulate edge and cloud at one per-site rate.
 
-        Dispatches to the fastsim recursion or the full DES according to
-        the configured ``engine`` (see the class docstring); the two are
-        statistically equivalent and cross-validated, but not bitwise
-        identical, so the selection is a constructor-time property — one
-        comparator never mixes engines across sweep points.
+        Samples every site's workload once and runs it on the configured
+        ``engine`` (see the class docstring): the edge sites each serve
+        their own arrays, the cloud serves all of them merged.
         """
         s = self.scenario
         if rate_per_site <= 0:
@@ -231,21 +202,20 @@ class EdgeCloudComparator:
                 f"rate {rate_per_site} req/s saturates a site "
                 f"(max {s.saturation_rate_per_site} req/s)"
             )
-        if not self._use_fastsim:
-            return self._measure_point_des(rate_per_site, seed_offset)
         # SeedSequence-derived child stream: collision-free across sweep
         # points *and* across comparators with nearby base seeds (the old
         # ``seed + 7919 * offset`` arithmetic could alias other
         # experiments' raw seeds).
         rng = derive_rng(self.seed, seed_offset)
         arrivals, services = self._site_workloads(rate_per_site, rng)
+        traces = [RequestTrace(a, sv) for a, sv in zip(arrivals, services, strict=True)]
+        if self.engine == "des":
+            return self._measure_point_des(rate_per_site, seed_offset, traces)
 
         edge = simulate_edge_system(
             arrivals, services, s.edge_servers_per_site, s.edge_latency(), rng
         )
-        merged = RequestTrace.merge(
-            [RequestTrace(a, sv) for a, sv in zip(arrivals, services, strict=True)]
-        )
+        merged = RequestTrace.merge(traces)
         if self.cloud_policy in (None, "central"):
             cloud = simulate_single_queue_system(
                 merged.arrival_times, merged.service_times, s.cloud_servers,
@@ -256,8 +226,7 @@ class EdgeCloudComparator:
                 merged.arrival_times, merged.service_times, s.cloud_servers,
                 s.cloud_latency(), rng,
                 policy=self.cloud_policy,
-                backends=self._cloud_backend_count(),
-                lb_overhead=self.lb_overhead,
+                backends=s.cloud_machines,
             )
         horizon = float(merged.arrival_times[-1])
         cut = self.warmup_fraction * horizon
@@ -268,64 +237,38 @@ class EdgeCloudComparator:
             cloud=summarize(cloud.after(cut).end_to_end),
         )
 
-    def _cloud_backend_count(self) -> int:
-        """Backends behind the cloud LB (default: one per cloud machine)."""
-        return (
-            self.cloud_backends
-            if self.cloud_backends is not None
-            else self.scenario.cloud_machines
-        )
-
-    def _des_cloud_policy(self) -> "DispatchPolicy | None":
-        """Instantiate the DES dispatch policy for this configuration."""
-        policy = self.cloud_policy
-        if policy in (None, "central"):
-            return None
-        if policy == "round-robin":
-            return RoundRobin()
-        if policy == "jsq":
-            return JoinShortestQueue()
-        return policy  # a DispatchPolicy instance, used as-is
-
-    def _measure_point_des(self, rate_per_site: float, seed_offset: int) -> SweepPoint:
-        """One sweep point on the full event engine (the fallback path).
+    def _measure_point_des(
+        self, rate_per_site: float, seed_offset: int, traces: list[RequestTrace]
+    ) -> SweepPoint:
+        """One sweep point replaying the sampled ``traces`` on the event engine.
 
         Runs the same topology as the fastsim path — k edge sites, cloud
-        pooling ``sites × edge_servers_per_site`` servers — as open-loop
-        sources over a virtual duration sized to ``requests_per_site``.
-        Edge and cloud get independent SeedSequence children of
-        ``(seed, offset)``, so DES sweeps are reproducible and journaled
-        exactly like fastsim ones (under a distinct journal scope).
+        pooling ``sites × edge_servers_per_site`` servers — with one
+        trace source per site.  ``duration`` is the last sampled arrival,
+        so the warm-up cut equals fastsim's bit for bit.  The simulation
+        seed only drives JSQ tie-breaks: the scenarios' networks are
+        constant-latency.
         """
         from repro.sim.runner import run_deployment
 
         s = self.scenario
-        duration = self.requests_per_site / rate_per_site
-        interarrival = fit_two_moments(1.0, self.arrival_cv2)
-        policy = self._des_cloud_policy()
-        edge_hooks = dict(self.hooks)
+        dispatch = {"round-robin": RoundRobin, "jsq": JoinShortestQueue}.get(self.cloud_policy)
         shared = dict(
             sites=s.sites,
             servers_per_site=s.edge_servers_per_site,
             rate_per_site=float(rate_per_site),
             service_dist=s.service_dist(),
-            duration=duration,
-            interarrival=interarrival,
+            duration=max(float(t.arrival_times[-1]) for t in traces),
+            seed=derive_seed(self.seed, seed_offset),
             warmup_fraction=self.warmup_fraction,
+            traces=traces,
         )
-        edge = run_deployment(
-            "edge",
-            latency=s.edge_latency(),
-            seed=derive_seed(self.seed, seed_offset, 0),
-            **shared,
-            **edge_hooks,
-        )
+        edge = run_deployment("edge", latency=s.edge_latency(), **shared)
         cloud = run_deployment(
             "cloud",
             latency=s.cloud_latency(),
-            seed=derive_seed(self.seed, seed_offset, 1),
-            policy=policy,
-            backends=self._cloud_backend_count() if policy is not None else None,
+            policy=dispatch() if dispatch else None,
+            backends=s.cloud_machines,
             **shared,
         )
         return SweepPoint(
@@ -341,25 +284,21 @@ class EdgeCloudComparator:
         Everything that shapes a sweep point's value is included, so two
         differently-configured comparators can share one checkpoint file
         without ever replaying each other's results.  Non-default engine
-        and topology knobs are appended conditionally, so checkpoints
+        and policy knobs are appended conditionally, so checkpoints
         written by earlier versions of the default configuration replay
-        unchanged.
+        unchanged.  ``des-replay`` marks DES points that replay the
+        sampled workload; the older ``des`` tag (independent DES
+        sampling) never matches.
         """
         scope = (
             f"sweep|{self.scenario!r}|seed={self.seed}"
             f"|rps={self.requests_per_site}|ca2={self.arrival_cv2}"
             f"|wf={self.warmup_fraction}"
         )
-        if not self._use_fastsim:
-            scope += "|engine=des"
+        if self.engine == "des":
+            scope += "|engine=des-replay"
         if self.cloud_policy not in (None, "central"):
-            policy = self.cloud_policy
-            tag = policy if isinstance(policy, str) else type(policy).__name__
-            scope += f"|policy={tag}|backends={self._cloud_backend_count()}"
-        if self.lb_overhead:
-            scope += f"|lb_overhead={self.lb_overhead}"
-        if self.hooks:
-            scope += f"|hooks={sorted(self.hooks)}"
+            scope += f"|policy={self.cloud_policy}|backends={self.scenario.cloud_machines}"
         return scope
 
     def sweep(

@@ -12,12 +12,13 @@ from __future__ import annotations
 from repro.parallel import run_tasks
 from repro.parallel.seeding import derive_seed
 from repro.queueing.distributions import Distribution, Exponential
-from repro.sim.client import OpenLoopSource
+from repro.sim.client import OpenLoopSource, TraceSource
 from repro.sim.engine import Simulation
 from repro.sim.loadbalancer import DispatchPolicy
 from repro.sim.network import LatencyModel
 from repro.sim.topology import CloudDeployment, EdgeDeployment, EdgeSite, SiteRouter
 from repro.sim.tracing import LatencyBreakdown
+from repro.workload.trace import RequestTrace
 
 __all__ = ["run_deployment", "run_comparison"]
 
@@ -38,6 +39,7 @@ def run_deployment(
     backends: int | None = None,
     router: SiteRouter | None = None,
     warmup_fraction: float = 0.2,
+    traces: list[RequestTrace] | None = None,
 ) -> LatencyBreakdown:
     """Simulate one deployment and return its latency breakdown.
 
@@ -70,6 +72,12 @@ def run_deployment(
         Edge-only: geographic load-balancing hook.
     warmup_fraction:
         Fraction of the virtual duration discarded as warm-up.
+    traces:
+        Per-site request traces (length ``sites``), each replayed by a
+        :class:`~repro.sim.client.TraceSource` in place of the open-loop
+        source, with its service times when present.  Every request of
+        every trace is submitted; ``duration`` then only sets the
+        warm-up cut.  Excludes ``interarrival`` and ``site_rates``.
 
     Returns
     -------
@@ -89,6 +97,11 @@ def run_deployment(
         raise ValueError(f"site_rates has length {len(rates)}, expected {sites}")
     if any(r < 0 for r in rates) or sum(rates) <= 0:
         raise ValueError(f"site rates must be non-negative with positive sum, got {rates}")
+    if traces is not None:
+        if interarrival is not None or site_rates is not None:
+            raise ValueError("traces cannot be combined with interarrival or site_rates")
+        if len(traces) != sites:
+            raise ValueError(f"traces has length {len(traces)}, expected {sites}")
 
     sim = Simulation(seed)
     if kind == "edge":
@@ -113,22 +126,19 @@ def run_deployment(
         stations = deployment.stations
 
     for i, rate in enumerate(rates):
-        if rate == 0:
-            continue
-        gap = (
-            Exponential(1.0 / rate)
-            if interarrival is None
-            else interarrival.scaled(1.0 / (rate * interarrival.mean))
-        )
-        OpenLoopSource(
-            sim,
-            deployment,
-            gap,
-            site=f"site-{i}" if kind == "edge" else f"client-{i}",
-            stop_time=duration,
-        )
+        site = f"site-{i}" if kind == "edge" else f"client-{i}"
+        if traces is not None:
+            trace = traces[i]
+            TraceSource(sim, deployment, trace.arrival_times, trace.service_times, site=site)
+        elif rate > 0:
+            gap = (
+                Exponential(1.0 / rate)
+                if interarrival is None
+                else interarrival.scaled(1.0 / (rate * interarrival.mean))
+            )
+            OpenLoopSource(sim, deployment, gap, site=site, stop_time=duration)
 
-    sim.run()  # drain: sources stop at `duration`, in-flight requests finish
+    sim.run()  # drain: sources stop at `duration` or their trace's end
     breakdown = deployment.log.breakdown().after(duration * warmup_fraction)
     # The station callbacks are bound methods of the deployment, a
     # reference cycle that would keep the finished topology and its

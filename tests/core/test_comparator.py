@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.comparator import ComparisonResult, EdgeCloudComparator, SweepPoint
 from repro.core.scenarios import DISTANT_CLOUD, TYPICAL_CLOUD
+from repro.sim.loadbalancer import RoundRobin
 from repro.stats.summary import LatencySummary
 
 
@@ -136,3 +137,7 @@ class TestValidationArgs:
             EdgeCloudComparator(TYPICAL_CLOUD, arrival_cv2=-1.0)
         with pytest.raises(ValueError):
             EdgeCloudComparator(TYPICAL_CLOUD, warmup_fraction=1.0)
+        with pytest.raises(ValueError):
+            EdgeCloudComparator(TYPICAL_CLOUD, engine="auto")
+        with pytest.raises(ValueError):
+            EdgeCloudComparator(TYPICAL_CLOUD, cloud_policy=RoundRobin())

@@ -210,6 +210,38 @@ class TestCheckpointResumeBitIdentity:
         assert a.sweep(self.RATES[:1], checkpoint=path).points == ra.points
         assert b.sweep(self.RATES[:1], checkpoint=path).points == rb.points
 
+    def test_fastsim_and_des_sweeps_share_a_journal(self, tmp_path, monkeypatch):
+        """The engines agree only to rounding, so neither may replay the
+        other's points; a DES sweep still resumes bit-identically."""
+        des_points = []
+        measure_des = EdgeCloudComparator._measure_point_des
+
+        def counting(self, *args):
+            des_points.append(args[0])
+            return measure_des(self, *args)
+
+        monkeypatch.setattr(EdgeCloudComparator, "_measure_point_des", counting)
+        path = tmp_path / "shared.journal"
+        fast = self._comparator()
+        des = EdgeCloudComparator(
+            TYPICAL_CLOUD, requests_per_site=2000, seed=17, engine="des"
+        )
+        fast_baseline = fast.sweep(self.RATES, checkpoint=path)
+        des_baseline = des.sweep(self.RATES)
+        assert len(des_points) == len(self.RATES)
+        # Rounding differs, so a cross-engine replay would show below.
+        assert des_baseline.points != fast_baseline.points
+
+        des_points.clear()
+        des.sweep(self.RATES[:2], checkpoint=path)  # "killed" DES run
+        assert des_points == list(self.RATES[:2])  # nothing replayed from fastsim
+        resumed = des.sweep(self.RATES, checkpoint=path, resume=True)
+        assert des_points == list(self.RATES)
+        assert resumed.points == des_baseline.points
+        assert des.sweep(self.RATES, checkpoint=path, resume=True).points == des_baseline.points
+        assert des_points == list(self.RATES)  # the second resume came from disk
+        assert fast.sweep(self.RATES, checkpoint=path, resume=True).points == fast_baseline.points
+
     def test_replicate_checkpoint(self, tmp_path):
         path = tmp_path / "rep.journal"
         baseline = replicate(_mean_stat, 6, base_seed=5)

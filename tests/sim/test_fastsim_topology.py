@@ -13,17 +13,18 @@ coverage to the new load-balanced topologies:
   :class:`~repro.sim.topology.CloudDeployment` with the
   :class:`~repro.sim.loadbalancer.RoundRobin` policy on the *identical*
   trace (near-exact agreement: same assignment, same recursion);
-* JSQ fastsim against DES JSQ (statistical agreement — tie-breaking
-  streams differ);
-* the comparator's ``engine="des"`` and ``engine="fastsim"`` paths on
-  the same scenario point;
+* JSQ fastsim against DES JSQ: exact when both break ties the same
+  way, statistical with their own tie-break streams;
+* the comparator's ``engine="des"`` and ``engine="fastsim"`` paths,
+  which replay one sampled workload and agree to rounding over the
+  Figure-7 grid;
 * ``sample_oneway_batch`` bit-identity against scalar draws.
 """
 
 import numpy as np
 import pytest
 
-from repro.core.comparator import EdgeCloudComparator
+from repro.core.comparator import EdgeCloudComparator, SweepPoint
 from repro.core.scenarios import TYPICAL_CLOUD
 from repro.sim.client import TraceSource
 from repro.sim.engine import Simulation
@@ -69,19 +70,22 @@ def make_workload(pattern: str, n: int, seed: int, load: float = 0.85):
 
 
 def run_des_cloud(arrivals, services, servers, *, rtt=0.0, policy=None,
-                  backends=None, seed=0):
+                  backends=None, seed=0, rng=None):
     """Replay a trace through the DES cloud and return trace-ordered waits.
 
     The request log is in *completion* order; sorting by ``created``
     alone cannot recover submission order when arrivals tie (the bursty
     patterns tie on purpose), so requests are re-ordered by rid — the
-    globally monotone id assigned at submission.
+    globally monotone id assigned at submission.  ``rng`` replaces the
+    deployment's dispatch stream.
     """
     sim = Simulation(seed)
     cloud = CloudDeployment(
         sim, servers=servers, latency=ConstantLatency(rtt),
         policy=policy, backends=backends,
     )
+    if rng is not None:
+        cloud._rng = rng
     TraceSource(sim, cloud, arrivals, services)
     sim.run()
     reqs = sorted(cloud.log.requests, key=lambda r: r.rid)
@@ -154,6 +158,32 @@ class TestLbTopology:
         )
         assert des_wait.mean() == pytest.approx(fast.wait.mean(), rel=0.1)
 
+    def test_jsq_matches_des_exactly_with_shared_tie_breaks(self):
+        """The JSQ residual is the tie-break stream, nothing else.
+
+        The DES policy draws from the deployment's stream on every
+        dispatch, fastsim from its caller's stream and only on ties.
+        With both streams replaced by one that always picks the first
+        tied backend, occupancy counting alone decides, and the waits
+        are identical.
+        """
+
+        class FirstTied:
+            def integers(self, n):
+                return 0
+
+        for seed in SEEDS:
+            a, s = make_workload("poisson", 20_000, seed)
+            s *= 8.0  # 8 servers in 4 backends: per-server load ~0.85
+            fast = simulate_lb_system(
+                a, s, 8, ConstantLatency(0.0), FirstTied(),
+                policy="jsq", backends=4,
+            )
+            des_wait, _ = run_des_cloud(
+                a, s, 8, policy=JoinShortestQueue(), backends=4, rng=FirstTied()
+            )
+            np.testing.assert_array_equal(des_wait, fast.wait)
+
     def test_lb_overhead_inbound_only(self):
         """LB overhead rides the inbound leg once, like the DES topology."""
         a = np.array([0.0, 10.0])
@@ -166,16 +196,34 @@ class TestLbTopology:
         np.testing.assert_allclose(res.end_to_end, 0.025 + 1.0)
 
 
+#: Figure 7's utilization grid: 13 points, up to rho = 0.948.
+FIG7_GRID = np.arange(0.15, 0.97, 0.0665)
+
+
 class TestComparatorEngines:
-    def test_auto_selects_fastsim_without_hooks(self):
-        assert EdgeCloudComparator(TYPICAL_CLOUD)._use_fastsim
-        assert EdgeCloudComparator(TYPICAL_CLOUD, cloud_policy="jsq")._use_fastsim
-        assert not EdgeCloudComparator(TYPICAL_CLOUD, engine="des")._use_fastsim
-        assert not EdgeCloudComparator(
-            TYPICAL_CLOUD, cloud_policy=RoundRobin()
-        )._use_fastsim
+    def test_auto_selects_fastsim_without_hooks(self, monkeypatch):
+        """One rule: fastsim unless ``engine="des"`` is passed."""
+        des_calls = []
+
+        def fake_des(self, rate, seed_offset, traces):
+            des_calls.append(self.cloud_policy)
+            return "des"
+
+        monkeypatch.setattr(EdgeCloudComparator, "_measure_point_des", fake_des)
+        rate = TYPICAL_CLOUD.rate_for_utilization(0.5)
+        for policy in (None, "jsq"):
+            cmp_ = EdgeCloudComparator(
+                TYPICAL_CLOUD, requests_per_site=200, cloud_policy=policy
+            )
+            assert cmp_.engine == "fastsim"
+            assert isinstance(cmp_.measure_point(rate), SweepPoint)
+        assert des_calls == []
+        des = EdgeCloudComparator(TYPICAL_CLOUD, requests_per_site=200, engine="des")
+        assert des.measure_point(rate) == "des"
+        assert des_calls == [None]
 
     def test_fastsim_engine_rejects_des_only_config(self):
+        """Policy objects are not a comparator option on either engine."""
         with pytest.raises(ValueError):
             EdgeCloudComparator(
                 TYPICAL_CLOUD, cloud_policy=RoundRobin(), engine="fastsim"
@@ -190,8 +238,27 @@ class TestComparatorEngines:
         des = EdgeCloudComparator(
             TYPICAL_CLOUD, engine="des", **kwargs
         ).measure_point(rate)
-        assert des.edge.mean == pytest.approx(fast.edge.mean, rel=0.1)
-        assert des.cloud.mean == pytest.approx(fast.cloud.mean, rel=0.1)
+        assert des.edge.mean == pytest.approx(fast.edge.mean, rel=1e-9)
+        assert des.cloud.mean == pytest.approx(fast.cloud.mean, rel=1e-9)
+
+    @pytest.mark.parametrize("policy", [None, "round-robin"])
+    def test_engines_identical_on_fig7_grid(self, policy):
+        """Both engines replay one sampled workload: equal to rounding,
+        saturation included (the DES drains in completion order, so
+        sums round differently, nothing more)."""
+        rates = [TYPICAL_CLOUD.rate_for_utilization(float(u)) for u in FIG7_GRID]
+        kwargs = dict(requests_per_site=2_000, seed=2021, cloud_policy=policy)
+        fast = EdgeCloudComparator(TYPICAL_CLOUD, **kwargs).sweep(rates)
+        des = EdgeCloudComparator(TYPICAL_CLOUD, engine="des", **kwargs).sweep(rates)
+        for p, q in zip(fast.points, des.points, strict=True):
+            for side in ("edge", "cloud"):
+                a, b = getattr(p, side), getattr(q, side)
+                assert a.count == b.count
+                for metric in ("mean", "p50", "p95", "p99"):
+                    np.testing.assert_allclose(
+                        getattr(b, metric), getattr(a, metric), rtol=1e-9,
+                        err_msg=f"{side} {metric} at utilization {p.utilization:.3f}",
+                    )
 
     def test_lb_policy_point_runs_and_waits_dominate_central(self):
         """Round-robin partitions the pool: no better than the central queue."""

@@ -11,6 +11,7 @@ import weakref
 import numpy as np
 import pytest
 
+from repro.parallel.seeding import derive_seed
 from repro.queueing.distributions import Exponential
 from repro.queueing.mm1 import MM1
 from repro.queueing.mmk import MMk
@@ -18,6 +19,7 @@ from repro.sim import runner
 from repro.sim.loadbalancer import JoinShortestQueue
 from repro.sim.network import ConstantLatency
 from repro.sim.runner import run_comparison, run_deployment
+from repro.workload.trace import RequestTrace
 
 MU = 13.0
 SERVICE = Exponential(1.0 / MU)
@@ -71,6 +73,32 @@ class TestAgainstTheory:
         expected = MMk(40.0, MU, 5).mean_response()
         server_time = cloud_run.wait + cloud_run.service
         assert server_time.mean() == pytest.approx(expected, rel=0.08)
+
+    def test_cloud_wait_matches_mmk_near_saturation(self):
+        """The open-loop path, replicated, at rho = 0.9 against exact M/M/k.
+
+        The per-run mean wait is noisy this close to saturation, so the
+        claim is on the replication mean: within 3 standard errors of
+        Erlang-C.
+        """
+        rate = 0.9 * MU  # per site; 5 sites pool into 5 servers
+        waits = [
+            run_deployment(
+                "cloud",
+                sites=5,
+                servers_per_site=1,
+                rate_per_site=rate,
+                service_dist=SERVICE,
+                latency=CLOUD_LAT,
+                duration=400.0,
+                warmup_fraction=0.1,
+                seed=derive_seed(2021, r),
+            ).wait.mean()
+            for r in range(8)
+        ]
+        expected = MMk(5 * rate, MU, 5).mean_wait()
+        se = np.std(waits, ddof=1) / np.sqrt(len(waits))
+        assert abs(np.mean(waits) - expected) < 3 * se
 
     def test_decomposition_identity(self, edge_run, cloud_run):
         for bd in (edge_run, cloud_run):
@@ -195,6 +223,23 @@ class TestArgumentValidation:
             run_deployment("edge", duration=0.0, **common)
         with pytest.raises(ValueError):
             run_deployment("edge", duration=10.0, warmup_fraction=1.0, **common)
+
+    def test_bad_traces(self):
+        common = {
+            "servers_per_site": 1, "rate_per_site": 1.0,
+            "service_dist": SERVICE, "latency": EDGE_LAT, "duration": 10.0,
+        }
+        trace = RequestTrace(np.array([0.5, 1.0]), np.array([0.1, 0.1]))
+        with pytest.raises(ValueError, match="length"):
+            run_deployment("edge", sites=2, traces=[trace], **common)
+        with pytest.raises(ValueError, match="site_rates"):
+            run_deployment(
+                "edge", sites=2, traces=[trace, trace], site_rates=[1.0, 1.0], **common
+            )
+        with pytest.raises(ValueError, match="interarrival"):
+            run_deployment(
+                "edge", sites=1, traces=[trace], interarrival=SERVICE, **common
+            )
 
 
 class TestFinishedTopologyIsFreed:
