@@ -12,10 +12,10 @@ Runs the Figure-7-style utilization grid three ways — plain, with a
   simulation, so the resumed run must beat the plain one by a wide
   margin.
 
-With ``checkpoint=None`` the supervised machinery never engages at all
-(``run_tasks`` takes its legacy path), so the disabled case has zero
-overhead by construction; the plain timing here doubles as that
-baseline.  Measurements go to ``BENCH_chaos.json`` at the repo root.
+Every sweep runs on the same supervised executor; ``checkpoint=None``
+only leaves the journal off, so the plain timing here is the baseline
+the journal's cost is measured against.  Measurements go to
+``BENCH_chaos.json`` at the repo root.
 
 Run with::
 

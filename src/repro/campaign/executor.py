@@ -14,8 +14,8 @@ seed-deterministic event count, so a budget-exceeding scenario fails
 identically in sequential and parallel campaign runs.
 
 :func:`scenario_task` is module-level and takes only picklable
-arguments, so the campaign runner can hand it to the supervised
-:func:`repro.parallel.run_tasks` path (process-per-task, RPR005).
+arguments, so the campaign runner can hand it to
+:func:`repro.parallel.run_tasks` and its worker processes (RPR005).
 """
 
 from __future__ import annotations

@@ -1,11 +1,11 @@
 """Resource-governed campaign execution with quarantine and resume.
 
 :func:`run_campaign` drives a compiled :class:`CampaignSpec` through
-the supervised parallel substrate (PR 6): every scenario is one
-process-per-task attempt under the campaign's budgets (wall-clock
-``timeout``, simulator ``max_events``, bounded ``retries``), journaled
-for kill-anywhere resume, and — crucially — *quarantined* rather than
-fatal when it persistently fails.  A 300-scenario sweep with three bad
+the supervised parallel substrate: every scenario is one supervised
+task under the campaign's budgets (wall-clock ``timeout``, simulator
+``max_events``, bounded ``retries``), journaled for kill-anywhere
+resume, and — crucially — *quarantined* rather than fatal when it
+persistently fails.  A 300-scenario sweep with three bad
 configurations finishes with 297 results and a salvage report naming
 the three, instead of dying at the first.
 

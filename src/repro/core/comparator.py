@@ -327,7 +327,8 @@ class EdgeCloudComparator:
             adds zero overhead.
         resume:
             Require the checkpoint to already exist (fail fast on a
-            mistyped path instead of silently recomputing everything).
+            mistyped path instead of silently recomputing everything);
+            a ``ValueError`` without ``checkpoint``.
         """
         rates = list(rates)
         if not rates:

@@ -264,9 +264,12 @@ def open_journal(
     Callers accept a path (journal opened here with ``scope``; the
     caller must close it — ``owned`` is True) or an existing
     :class:`RunJournal` (used as-is, caller's scope wins, not closed).
-    ``None`` disables journaling entirely.
+    ``None`` disables journaling entirely, and then ``resume=True`` is a
+    ``ValueError``: there is nothing to resume from.
     """
     if checkpoint is None:
+        if resume:
+            raise ValueError("resume=True requires a checkpoint")
         return None, False
     if isinstance(checkpoint, RunJournal):
         return checkpoint, False

@@ -4,17 +4,19 @@ Two halves, used together by every layer that splits one experiment into
 independent runs:
 
 * :mod:`repro.parallel.pool` — :func:`run_tasks`, the ordered
-  process-pool map with serial fallback and per-task error naming;
+  process fan-out with in-process serial execution and per-task error
+  naming;
 * :mod:`repro.parallel.seeding` — :class:`numpy.random.SeedSequence`
   based seed derivation, the collision-free replacement for arithmetic
   on raw integer seeds.
 
-Two more halves back the crash-safety layer (PR 6):
+Two more halves back the crash-safety layer:
 
-* :mod:`repro.parallel.supervise` — the fault-tolerant executor behind
-  ``run_tasks(timeout= / retries= / salvage= / journal=)``: per-task
-  deadlines, deterministically-jittered retries, :class:`TaskOutcome`
-  envelopes and journal replay;
+* :mod:`repro.parallel.supervise` — the one executor behind every
+  ``run_tasks`` call: reusable supervised workers, and on request
+  (``timeout= / retries= / salvage= / journal=``) per-task deadlines,
+  deterministically-jittered retries, :class:`TaskOutcome` envelopes
+  and journal replay;
 * :mod:`repro.parallel.chaos` — env-triggered worker-kill injection and
   the ``python -m repro.parallel.chaos`` self-test proving salvage,
   resume bit-identity and orphan-free interrupts.

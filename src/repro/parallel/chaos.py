@@ -8,8 +8,11 @@ mid-task, SIGINTs an in-flight journaled run, and asserts salvage,
 resume bit-identity, and that no worker processes are orphaned.
 
 Injection is environment-triggered so it needs no cooperation from the
-task under test — the supervised executor (:mod:`repro.parallel.supervise`)
-calls :func:`chaos_point` at the start of every task attempt:
+task under test — the executor behind every ``run_tasks`` call
+(:mod:`repro.parallel.supervise`) calls :func:`chaos_point` at the start
+of every task attempt, in a worker or in the serial loop.  The variables
+are for tests only: a targeted index in the serial loop exits the
+calling process.
 
 * ``REPRO_CHAOS_KILL="2,5"`` — task indices whose attempt dies instantly
   via ``os._exit`` (no cleanup, no exception: exactly an OOM-kill);
@@ -19,8 +22,7 @@ calls :func:`chaos_point` at the start of every task attempt:
 
 With the variables unset, :func:`chaos_point` is a single dictionary
 lookup — the production overhead of the chaos machinery is one
-``os.environ.get`` per supervised task attempt, and zero on the
-unsupervised fast path (which never calls it).
+``os.environ.get`` per task attempt.
 """
 
 from __future__ import annotations
@@ -58,8 +60,8 @@ CHAOS_EXIT_CODE = 57
 def chaos_point(index: int) -> None:
     """Die here iff chaos injection targets task ``index``.
 
-    Called by the supervised executor at the start of every task attempt
-    (worker process or serial loop).  A hit is ``os._exit`` — no stack
+    Called by the executor at the start of every task attempt (worker
+    process or serial loop).  A hit is ``os._exit`` — no stack
     unwinding, no ``finally`` blocks, indistinguishable from a SIGKILL —
     which is the failure shape the journal must survive.
     """

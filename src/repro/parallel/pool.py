@@ -7,25 +7,26 @@ outcome is bit-identical to the sequential loop (seeds are derived from
 the task index via :mod:`repro.parallel.seeding`, never from execution
 order).
 
-:func:`run_tasks` is the one entry point.  Design points:
+:func:`run_tasks` is the one entry point, and every call runs on the one
+executor, :func:`repro.parallel.supervise.run_supervised`.  Design points:
 
 * **Ordered results** — ``results[i]`` always corresponds to
   ``tasks[i]``, regardless of which worker finished first.
-* **Serial fallback** — ``workers=1`` (the default, or via
-  ``REPRO_WORKERS``) runs the plain loop with zero pool overhead and
-  unwrapped exceptions.  Non-picklable callables (lambdas, closures over
-  live simulations) also fall back, with a diagnostic warning naming the
-  offending object instead of a cryptic pool crash.
-* **Error propagation** — a crash in one worker surfaces as
+* **Reusable workers** — ``workers > 1`` forks at most ``workers``
+  processes per call and sends each one task at a time.
+* **Serial execution** — ``workers=1`` (the default, or via
+  ``REPRO_WORKERS``) runs the tasks in order in this process, and a
+  failing task's own exception propagates.  Non-picklable callables
+  (lambdas, closures over live simulations) also run serially, with a
+  diagnostic warning naming the offending object.
+* **Error propagation** — a failure in a worker surfaces as
   :class:`ParallelTaskError` naming the failing task index (with its
   truncated args and, given ``base_seed=``, its derived seed) and
   carrying the worker-side traceback text.
-* **Fault tolerance on demand** — passing any of ``timeout=``,
-  ``retries=``, ``salvage=`` or ``journal=`` switches to the supervised
-  executor (:mod:`repro.parallel.supervise`): per-task deadlines,
+* **Fault tolerance on demand** — ``timeout=``, ``retries=``,
+  ``salvage=`` and ``journal=`` turn on per-task deadlines,
   deterministic retry backoff, partial-result salvage and crash-safe
-  checkpoint/resume.  With none of them set, this module's plain fast
-  path runs unchanged — supervision costs nothing when unused.
+  checkpoint/resume (:mod:`repro.parallel.supervise`).
 * **Telemetry safety** — the process-wide :func:`repro.obs.install`
   factory is process-local state.  Rather than silently dropping spans
   in forked workers, ``run_tasks`` refuses to fan out while a factory is
@@ -39,9 +40,7 @@ from __future__ import annotations
 
 import os
 import pickle
-import traceback
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from collections.abc import Callable, Iterable, Sequence
 from typing import Any
 
@@ -50,7 +49,6 @@ from repro.parallel.supervise import (
     ParallelTaskError,
     RetryPolicy,
     TaskOutcome,
-    _task_context,
     run_supervised,
 )
 
@@ -76,34 +74,16 @@ def resolve_workers(workers: int | None = None) -> int:
         return 1
     if workers is None:
         raw = os.environ.get(WORKERS_ENV, "").strip()
-        workers = int(raw) if raw else 1
+        try:
+            workers = int(raw) if raw else 1
+        except ValueError:
+            raise ValueError(
+                f"{WORKERS_ENV} must be a positive integer, got {raw!r}"
+            ) from None
     workers = int(workers)
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     return workers
-
-
-def _worker_init() -> None:
-    """Runs once in every worker: neutralize inherited process state."""
-    os.environ[_IN_WORKER_ENV] = "1"
-    # A fork-started worker inherits the parent's installed telemetry
-    # factory; spans recorded there would never reach the parent's
-    # exporter.  Workers are telemetry-free by contract (docs/performance.md).
-    from repro.obs import provider
-
-    provider.uninstall()
-
-
-def _call(payload):
-    index, label, fn, args, base_seed = payload
-    try:
-        return fn(*args)
-    except Exception as exc:
-        tb = traceback.format_exc()
-        raise ParallelTaskError(
-            f"{_task_context(label, index, args, base_seed)} failed in "
-            f"worker with {type(exc).__name__}: {exc}\n{tb}"
-        ) from exc
 
 
 def _pickle_diagnostic(fn: Callable, tasks: Sequence[tuple]) -> str | None:
@@ -130,7 +110,6 @@ def run_tasks(
     tasks: Iterable[tuple],
     *,
     workers: int | None = None,
-    chunksize: int | None = None,
     label: str = "task",
     timeout: float | None = None,
     retries: int = 0,
@@ -147,26 +126,22 @@ def run_tasks(
     fn:
         Callable applied to each task's positional arguments.  Must be
         picklable (module-level function or bound method of a picklable
-        object) for true parallelism; otherwise the serial fallback runs
+        object) for true parallelism; otherwise the tasks run serially
         with a diagnostic warning.
     tasks:
         Iterable of positional-argument tuples, one per run.
     workers:
         Process count; ``None`` reads ``$REPRO_WORKERS`` (default 1).
-        ``1`` is the exact sequential loop — no pool, no wrapping.
-    chunksize:
-        Tasks shipped per worker dispatch on the plain-pool path;
-        default balances ~4 chunks per worker.  Ignored under
-        supervision (each attempt is its own process).
+        ``1`` runs the tasks in order in this process.
     label:
         Human name used in error messages ("sweep point", "replication").
     timeout:
-        Per-task deadline in seconds (supervised; requires
-        ``workers >= 2`` to be enforceable — a stalled attempt is
-        terminated and counts as ``"timed-out"``).
+        Per-task deadline in seconds (requires ``workers >= 2`` to be
+        enforceable — a stalled attempt's worker is terminated and the
+        attempt counts as ``"timed-out"``).
     retries:
-        Bounded retries per task (supervised).  Backoff between attempts
-        is exponential from ``backoff`` with deterministic jitter drawn
+        Bounded retries per task.  Backoff between attempts is
+        exponential from ``backoff`` with deterministic jitter drawn
         via :mod:`repro.parallel.seeding` from ``base_seed`` — and since
         tasks are deterministic functions of their arguments, a retry
         can only reproduce what the first attempt would have returned.
@@ -174,8 +149,7 @@ def run_tasks(
         Initial retry backoff in seconds (see :class:`RetryPolicy`).
     salvage:
         Return a list of :class:`TaskOutcome` envelopes — including
-        failures — instead of raising on the first exhausted task
-        (supervised).
+        failures — instead of raising on the first exhausted task.
     base_seed:
         The experiment's base seed, used to (a) derive retry-jitter
         streams and (b) name the failing task's derived seed in
@@ -183,14 +157,14 @@ def run_tasks(
     journal:
         A :class:`repro.experiments.store.RunJournal` (or duck-typed
         equivalent): completed tasks replay from it, fresh results are
-        durably appended as they arrive (supervised).
+        durably appended as they arrive.
     on_result:
         Progress callback invoked in *this* process with each task's
         final :class:`TaskOutcome` the moment it settles (journal
         replay, success, or exhausted failure) — completion order, not
-        task order.  Supervised path only; lifecycle streaming for
-        :mod:`repro.service`.  Callback exceptions propagate (they
-        indicate a broken observer, not a broken task).
+        task order.  Lifecycle streaming for :mod:`repro.service`.
+        Callback exceptions propagate (they indicate a broken observer,
+        not a broken task).
 
     Returns
     -------
@@ -204,8 +178,8 @@ def run_tasks(
     ------
     ParallelTaskError
         If a task fails in a worker (named by index, args and derived
-        seed, traceback attached) and ``salvage`` is off.  On the plain
-        serial path the task's original exception propagates unwrapped.
+        seed, traceback attached) and ``salvage`` is off.  On the serial
+        path the task's original exception propagates unwrapped.
     repro.obs.provider.TelemetryFanoutError
         If ``workers > 1`` while a telemetry factory is installed —
         fan-out would silently drop every span recorded in the workers;
@@ -214,41 +188,10 @@ def run_tasks(
     """
     tasks = [tuple(t) for t in tasks]
     workers = resolve_workers(workers)
-    supervised = (
-        timeout is not None
-        or retries > 0
-        or salvage
-        or journal is not None
-        or on_result is not None
-    )
     if workers > 1:
         _refuse_telemetry_fanout(workers)
-
-    if not supervised:
-        if workers == 1 or len(tasks) <= 1:
-            return [fn(*t) for t in tasks]
-        diagnostic = _pickle_diagnostic(fn, tasks)
-        if diagnostic is not None:
-            warnings.warn(
-                f"run_tasks falling back to serial execution: {diagnostic}. "
-                "Pass a module-level function (or a bound method of a "
-                "picklable object) to enable process parallelism.",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            return [fn(*t) for t in tasks]
-        workers = min(workers, len(tasks))
-        if chunksize is None:
-            chunksize = max(1, len(tasks) // (workers * 4))
-        payloads = [(i, label, fn, t, base_seed) for i, t in enumerate(tasks)]
-        with ProcessPoolExecutor(
-            max_workers=workers, initializer=_worker_init
-        ) as pool:
-            return list(pool.map(_call, payloads, chunksize=chunksize))
-
-    # Supervised path: timeouts / retries / salvage / journal.
-    policy = RetryPolicy(retries=retries, timeout=timeout, backoff=backoff)
-    if workers > 1 and tasks:
+    workers = min(workers, max(1, len(tasks)))
+    if workers > 1:
         diagnostic = _pickle_diagnostic(fn, tasks)
         if diagnostic is not None:
             warnings.warn(
@@ -262,8 +205,8 @@ def run_tasks(
     outcomes = run_supervised(
         fn,
         tasks,
-        workers=min(workers, max(1, len(tasks))),
-        policy=policy,
+        workers=workers,
+        policy=RetryPolicy(retries=retries, timeout=timeout, backoff=backoff),
         label=label,
         base_seed=base_seed,
         journal=journal,

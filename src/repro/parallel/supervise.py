@@ -1,17 +1,17 @@
-"""Supervised task execution: timeouts, retries, salvage and journaling.
+"""Supervised task execution: the one executor behind ``run_tasks``.
 
-The plain pool (:mod:`repro.parallel.pool`) is all-or-nothing: one
-worker crash in a 500-point sweep raises and discards every completed
-result.  This module is the fault-tolerant alternative that
-``run_tasks`` switches to when the caller asks for any supervision
-feature (``timeout=`` / ``retries=`` / ``salvage=`` / ``journal=``):
+Every :func:`repro.parallel.run_tasks` call runs here, and the
+fault-tolerance features are opt-in (``timeout=`` / ``retries=`` /
+``salvage=`` / ``journal=``):
 
-* **Process-per-task supervision.**  Each attempt runs in its own
-  ``multiprocessing.Process`` with a dedicated pipe; the supervisor
-  multiplexes completions with ``connection.wait`` and keeps a sliding
-  window of ``workers`` attempts in flight.  A crashed worker (EOF on
-  the pipe, nonzero exit) or a blown deadline (terminate + join) costs
-  exactly one task, never the batch.
+* **Reusable supervised workers.**  At most ``workers`` processes are
+  forked per call, each once, over a duplex pipe.  They inherit ``fn``
+  and the task list, so each attempt crosses the pipe as one task
+  index, and the supervisor multiplexes replies with
+  ``connection.wait``.  A crashed worker (EOF on the pipe) or a blown
+  deadline (terminate + join) costs exactly one task attempt, never the
+  batch; the worker is replaced.  A worker found dead while idle is
+  replaced without charging any task.
 * **Deterministic retries.**  Backoff jitter is drawn from
   ``derive_rng(base_seed, _RETRY_STREAM, index, attempt)`` so a retry
   *schedule* is as reproducible as the results themselves — and because
@@ -31,13 +31,15 @@ feature (``timeout=`` / ``retries=`` / ``salvage=`` / ``journal=``):
 ``workers=1`` keeps sequential semantics: tasks run in-process, in
 order, with retries and journaling but no preemption (a per-task
 ``timeout`` cannot be enforced without a worker process and is warned
-about).  See ``docs/robustness.md``.
+about), and a task that exhausts its attempts raises its own exception.
+See ``docs/robustness.md``.
 """
 
 from __future__ import annotations
 
 import os
 import signal
+import threading
 import time
 import traceback
 import warnings
@@ -68,19 +70,17 @@ _RETRY_STREAM = 0x5EED
 #: Characters of ``repr(args)`` carried in error messages and outcomes.
 _ARGS_REPR_LIMIT = 200
 
+#: Serializes worker forks across threads (the service runs campaigns on
+#: threads).  A worker forked while another thread holds a fresh pipe's
+#: child end keeps that end open for its whole life, so the other run
+#: would never read its own crashed worker as EOF.
+_FORK_LOCK = threading.Lock()
+
 
 def _truncate(text: str, limit: int = _ARGS_REPR_LIMIT) -> str:
     if len(text) <= limit:
         return text
     return text[: limit - 3] + "..."
-
-
-def _task_context(label: str, index: int, args: tuple, base_seed: int | None) -> str:
-    """``"sweep point #3 (args=(9.5, 3), seed=...)"`` — enough to rerun it."""
-    ctx = f"{label} #{index} (args={_truncate(repr(args))}"
-    if base_seed is not None:
-        ctx += f", seed=derive_seed({base_seed}, ...)={derive_seed(base_seed, index)}"
-    return ctx + ")"
 
 
 class ParallelTaskError(RuntimeError):
@@ -89,13 +89,12 @@ class ParallelTaskError(RuntimeError):
     The message names the failing task (label and index), carries the
     truncated args repr and — when the caller passed ``base_seed=`` —
     the task's derived seed, so a crashed sweep point is reproducible
-    from the error text alone.  The worker-side traceback is embedded;
-    the original exception is chained as ``__cause__`` on in-process
-    paths (worker processes can only ship the formatted text).
+    from the error text alone.  The worker-side traceback is embedded as
+    text (a worker process can only ship the formatted traceback).
 
     Structured fields (``task_index``, ``label``, ``args_repr``,
-    ``seed``) are available when raised by the supervised path; they
-    default to ``None`` on messages that crossed a process boundary.
+    ``seed``) carry the same context; ``seed`` is ``None`` without
+    ``base_seed=``.
     """
 
     def __init__(
@@ -250,8 +249,13 @@ def supervision_stats() -> SupervisionStats:
 # Worker side
 # ---------------------------------------------------------------------------
 
-def _worker_main(conn: Connection, index: int, fn: Callable, args: tuple) -> None:
-    """Run one task attempt in a dedicated process; ship the outcome."""
+def _worker_loop(conn: Connection, supervisor_end: Connection, fn: Callable,
+                 tasks: Sequence[tuple]) -> None:
+    """Run the task attempts sent as indices until the ``None`` sentinel."""
+    # The forked copy of the supervisor's end would hold this pipe open
+    # forever; closed, a supervisor that dies without sending the
+    # sentinel reads as EOF here and the worker exits.
+    supervisor_end.close()
     # Ctrl-C is the *supervisor's* signal: it terminates workers
     # deliberately during cleanup.  Letting SIGINT hit workers directly
     # would race that shutdown and corrupt in-flight pipe messages.
@@ -262,35 +266,39 @@ def _worker_main(conn: Connection, index: int, fn: Callable, args: tuple) -> Non
     provider.uninstall()
     from repro.parallel.chaos import chaos_point
 
-    chaos_point(index)
     try:
-        result = fn(*args)
-    except BaseException as exc:  # ship *any* failure, incl. SystemExit
-        conn.send(
-            ("error", type(exc).__name__, str(exc), traceback.format_exc())
-        )
-    else:
-        try:
-            conn.send(("ok", result))
-        except Exception as exc:
-            conn.send(
-                (
-                    "error",
-                    type(exc).__name__,
-                    f"task result is not picklable: {exc}",
-                    traceback.format_exc(),
+        while (index := conn.recv()) is not None:
+            chaos_point(index)
+            try:
+                reply = ("ok", fn(*tasks[index]))
+            except BaseException as exc:  # ship *any* failure, incl. SystemExit
+                reply = ("error", type(exc).__name__, str(exc),
+                         traceback.format_exc())
+            try:
+                conn.send(reply)
+            except Exception as exc:
+                conn.send(
+                    (
+                        "error",
+                        type(exc).__name__,
+                        f"task result is not picklable: {exc}",
+                        traceback.format_exc(),
+                    )
                 )
-            )
+    except (EOFError, OSError):
+        pass  # the supervisor is gone: nobody is left to report to
     conn.close()
 
 
 @dataclass
-class _InFlight:
-    index: int
-    attempt: int
+class _Worker:
+    """One reusable worker process and the attempt it is running."""
+
     process: Process
     conn: Connection
-    deadline: float | None
+    index: int = -1
+    attempt: int = 0
+    deadline: float | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +326,8 @@ def run_supervised(
     dispatch), so an interrupt at any point leaves it resumable.
 
     With ``fail_fast=True`` the first task to exhaust its attempts
-    raises its :meth:`TaskOutcome.to_error`; with ``fail_fast=False``
+    raises: its :meth:`TaskOutcome.to_error` from a worker, its own
+    exception when the tasks run serially.  With ``fail_fast=False``
     (``salvage=``) failures are returned in their envelopes instead.
 
     ``on_result`` (optional) is invoked in the supervisor process with
@@ -435,7 +444,7 @@ def _run_serial(fn, tasks, todo, keys, outcomes, *, policy, label,
                 if on_result is not None:
                     on_result(outcomes[i])
                 if fail_fast:
-                    raise outcomes[i].to_error(base_seed) from exc
+                    raise
                 break
             else:
                 _record_ok(outcomes, keys, journal, tasks, label, base_seed,
@@ -443,65 +452,80 @@ def _run_serial(fn, tasks, todo, keys, outcomes, *, policy, label,
                 break
 
 
-def _spawn(fn, tasks, index, attempt, policy, now) -> _InFlight:
-    recv_end, send_end = Pipe(duplex=False)
-    proc = Process(
-        target=_worker_main, args=(send_end, index, fn, tasks[index]),
-        daemon=True,
-    )
-    # Mask SIGINT across the fork.  A Ctrl-C landing mid-``start()``
-    # raises KeyboardInterrupt inside an ``os.register_at_fork``
-    # callback (e.g. logging's lock release), where CPython reports it
-    # as "Exception ignored" and DROPS it — the interrupt is silently
-    # lost and the run completes as if never signalled.  Deferring
-    # delivery until the mask is restored lands it in the supervisor
-    # loop, whose cleanup path terminates workers and re-raises.
-    if hasattr(signal, "pthread_sigmask"):
-        mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+def _spawn(fn: Callable, tasks: Sequence[tuple], pool: list[_Worker]) -> _Worker:
+    """Fork one reusable worker and add it to ``pool``."""
+    with _FORK_LOCK:
+        conn, child_end = Pipe()
+        proc = Process(
+            target=_worker_loop, args=(child_end, conn, fn, tasks), daemon=True,
+        )
+        # Mask SIGINT across the fork and until the worker is in ``pool``.
+        # A Ctrl-C landing mid-``start()`` raises KeyboardInterrupt inside
+        # an ``os.register_at_fork`` callback (e.g. logging's lock
+        # release), where CPython reports it as "Exception ignored" and
+        # DROPS it — the interrupt is silently lost and the run completes
+        # as if never signalled.  Deferring delivery until the mask is
+        # restored lands it in the supervisor loop, whose cleanup reaches
+        # every worker in ``pool``.
+        masked = hasattr(signal, "pthread_sigmask")  # no fork on Windows
+        if masked:
+            mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
         try:
             proc.start()
+            # Close the parent's copy of the child end so a dead worker
+            # reads as EOF instead of a hang.
+            child_end.close()
+            pool.append(_Worker(proc, conn))
         finally:
-            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-    else:  # pragma: no cover - Windows: no fork, no at-fork window
-        proc.start()
-    # Close the parent's copy of the write end so a dead child reads as
-    # EOF on recv_end instead of a hang.
-    send_end.close()
-    deadline = None if policy.timeout is None else now + policy.timeout
-    return _InFlight(index, attempt, proc, recv_end, deadline)
+            if masked:
+                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+    return pool[-1]
 
 
-def _reap(flight: _InFlight) -> None:
-    flight.process.join()
-    flight.conn.close()
+def _reap(worker: _Worker) -> None:
+    worker.process.join()
+    worker.conn.close()
 
 
 def _run_parallel(fn, tasks, todo, keys, outcomes, *, workers, policy,
                   label, base_seed, journal, fail_fast,
                   on_result=None) -> None:
-    """Sliding-window process-per-task supervisor."""
+    """Supervise at most ``workers`` reusable workers, one attempt at a time each."""
     # (index, attempt, not_before): attempts waiting to be dispatched.
     pending: list[tuple[int, int, float]] = [(i, 1, 0.0) for i in todo]
-    running: dict[Connection, _InFlight] = {}
+    pool: list[_Worker] = []  # every live worker, busy or idle
+    running: dict[Connection, _Worker] = {}  # the busy ones
 
-    def finalize(flight: _InFlight, status: str, error: str,
+    def finalize(worker: _Worker, status: str, error: str,
                  tb: str | None) -> None:
         """Retry if attempts remain, else record (and maybe raise) failure."""
         now = time.monotonic()  # repro: noqa[RPR001] -- supervision deadlines are wall-clock, not simulation time
-        if flight.attempt <= policy.retries:
+        if worker.attempt <= policy.retries:
             _STATS.retries += 1
-            backoff = policy.delay(base_seed, flight.index, flight.attempt)
-            pending.append((flight.index, flight.attempt + 1, now + backoff))
+            backoff = policy.delay(base_seed, worker.index, worker.attempt)
+            pending.append((worker.index, worker.attempt + 1, now + backoff))
             return
         _STATS.failures += 1
-        outcomes[flight.index] = _outcome(
-            flight.index, label, tasks[flight.index], base_seed, status,
-            error=error, tb=tb, attempts=flight.attempt,
+        outcomes[worker.index] = _outcome(
+            worker.index, label, tasks[worker.index], base_seed, status,
+            error=error, tb=tb, attempts=worker.attempt,
         )
         if on_result is not None:
-            on_result(outcomes[flight.index])
+            on_result(outcomes[worker.index])
         if fail_fast:
-            raise outcomes[flight.index].to_error(base_seed)
+            raise outcomes[worker.index].to_error(base_seed)
+
+    def retire(worker: _Worker) -> None:
+        """Reap a dead or terminated worker and drop it from the pool."""
+        _reap(worker)
+        pool.remove(worker)
+
+    def idle_worker() -> _Worker:
+        for worker in [w for w in pool if w.conn not in running]:
+            if worker.process.is_alive():
+                return worker
+            retire(worker)  # died while idle: replace it, charge no task
+        return _spawn(fn, tasks, pool)
 
     try:
         while pending or running:
@@ -515,8 +539,16 @@ def _run_parallel(fn, tasks, todo, keys, outcomes, *, workers, policy,
                 if slot is None:
                     break
                 index, attempt, _ = pending.pop(slot)
-                flight = _spawn(fn, tasks, index, attempt, policy, now)
-                running[flight.conn] = flight
+                worker = idle_worker()
+                worker.index, worker.attempt = index, attempt
+                worker.deadline = (
+                    None if policy.timeout is None else now + policy.timeout
+                )
+                running[worker.conn] = worker
+                try:
+                    worker.conn.send(index)
+                except OSError:
+                    pass  # died since is_alive(): its EOF charges the attempt
             if not running:
                 # Every remaining attempt is backing off; sleep to the
                 # earliest eligibility.
@@ -524,52 +556,59 @@ def _run_parallel(fn, tasks, todo, keys, outcomes, *, workers, policy,
                 continue
             # Block until a worker reports, a deadline expires, or a
             # backed-off retry becomes dispatchable.
-            wakeups = [f.deadline for f in running.values()
-                       if f.deadline is not None]
+            wakeups = [w.deadline for w in running.values()
+                       if w.deadline is not None]
             # Only *future* eligibility counts: an already-eligible retry
             # is waiting on a slot, which only a completion can free.
             wakeups += [nb for _, _, nb in pending if nb > now]
             timeout = None if not wakeups else max(0.0, min(wakeups) - now)
             ready = _conn_wait(list(running), timeout=timeout)
             for conn in ready:
-                flight = running.pop(conn)
+                worker = running.pop(conn)
                 try:
                     message = conn.recv()
-                except EOFError:
-                    _reap(flight)
+                except (EOFError, OSError):
+                    retire(worker)
                     _STATS.crashes += 1
                     finalize(
-                        flight, "failed",
+                        worker, "failed",
                         "worker crashed (killed or exited) with exit code "
-                        f"{flight.process.exitcode}", None,
+                        f"{worker.process.exitcode}", None,
                     )
                     continue
-                _reap(flight)
                 if message[0] == "ok":
                     _record_ok(outcomes, keys, journal, tasks, label,
-                               base_seed, flight.index, message[1],
-                               flight.attempt, on_result)
+                               base_seed, worker.index, message[1],
+                               worker.attempt, on_result)
                 else:
                     _, etype, emsg, tb = message
-                    finalize(flight, "failed", f"{etype}: {emsg}", tb)
+                    finalize(worker, "failed", f"{etype}: {emsg}", tb)
             # Enforce deadlines on whatever is still in flight.
             now = time.monotonic()  # repro: noqa[RPR001] -- supervision deadlines are wall-clock, not simulation time
-            for conn, flight in list(running.items()):
-                if flight.deadline is None or now < flight.deadline:
+            for conn, worker in list(running.items()):
+                if worker.deadline is None or now < worker.deadline:
                     continue
                 del running[conn]
-                flight.process.terminate()
-                _reap(flight)
+                worker.process.terminate()
+                retire(worker)
                 _STATS.timeouts += 1
                 finalize(
-                    flight, "timed-out",
+                    worker, "timed-out",
                     f"exceeded per-task timeout of {policy.timeout}s", None,
                 )
-    except BaseException:
-        # Fail-fast error, KeyboardInterrupt, anything: leave no orphans.
-        # Journaled results are already durable, so the run is resumable.
-        for flight in running.values():
-            flight.process.terminate()
-        for flight in running.values():
-            _reap(flight)
-        raise
+    finally:
+        # A clean finish, a fail-fast error, KeyboardInterrupt, anything:
+        # leave no orphans.  Busy workers are terminated; idle ones get
+        # the sentinel (closing our end would not read as EOF, because
+        # later-forked workers hold copies of it).  Journaled results are
+        # already durable, so an interrupted run is resumable.
+        for worker in pool:
+            if worker.conn in running:
+                worker.process.terminate()
+                continue
+            try:
+                worker.conn.send(None)
+            except OSError:
+                pass  # died while idle; the join below reaps it
+        for worker in pool:
+            _reap(worker)

@@ -131,7 +131,7 @@ def replicate(
         are durably appended — a killed campaign resumes bit-identically.
     resume:
         Require the checkpoint file to already exist (fail fast on a
-        mistyped path).
+        mistyped path); a ``ValueError`` without ``checkpoint``.
     """
     if replications < 2:
         raise ValueError(f"replications must be >= 2, got {replications}")

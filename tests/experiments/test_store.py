@@ -170,6 +170,15 @@ class TestOpenJournal:
         with pytest.raises(FileNotFoundError):
             open_journal(tmp_path / "nope", scope="s", resume=True)
 
+    def test_resume_without_checkpoint_raises(self):
+        with pytest.raises(ValueError, match="requires a checkpoint"):
+            open_journal(None, scope="s", resume=True)
+        cmp_ = EdgeCloudComparator(TYPICAL_CLOUD, requests_per_site=200)
+        with pytest.raises(ValueError, match="requires a checkpoint"):
+            cmp_.sweep([5.0], resume=True)
+        with pytest.raises(ValueError, match="requires a checkpoint"):
+            replicate(_mean_stat, 3, resume=True)
+
 
 class TestCheckpointResumeBitIdentity:
     """A killed sweep resumed from its journal equals the uninterrupted run."""

@@ -58,6 +58,11 @@ class TestResolveWorkers:
         with pytest.raises(ValueError):
             resolve_workers(0)
 
+    def test_invalid_env_names_variable(self, monkeypatch):
+        monkeypatch.setenv(WORKERS_ENV, "two")
+        with pytest.raises(ValueError, match=r"REPRO_WORKERS.*'two'"):
+            resolve_workers(None)
+
 
 class TestRunTasks:
     def test_serial_matches_parallel(self):
@@ -72,14 +77,16 @@ class TestRunTasks:
         ]
 
     def test_chunksize_does_not_change_results(self):
+        # The worker count (capped at the task count) never changes results.
         tasks = [(i,) for i in range(9)]
         baseline = run_tasks(square, tasks, workers=1)
-        for chunksize in (1, 2, 5, 100):
-            assert run_tasks(square, tasks, workers=2, chunksize=chunksize) == baseline
+        for workers in (2, 5, 100):
+            assert run_tasks(square, tasks, workers=workers) == baseline
 
     def test_actually_uses_processes(self):
-        pids = set(run_tasks(pid_of, [(i,) for i in range(6)], workers=2, chunksize=1))
+        pids = set(run_tasks(pid_of, [(i,) for i in range(6)], workers=2))
         assert os.getpid() not in pids
+        assert len(pids) <= 2
 
     def test_empty_and_single(self):
         assert run_tasks(square, [], workers=4) == []
@@ -109,7 +116,7 @@ class TestRunTasks:
         assert out == ["lock", "lock"]
 
     def test_no_nested_pools(self):
-        results = run_tasks(nested, [(0,), (10,)], workers=2, chunksize=1)
+        results = run_tasks(nested, [(0,), (10,)], workers=2)
         for (_inner, flag) in results:
             assert flag == "1"  # ran inside a worker...
         assert results[0][0] == [0, 1] and results[1][0] == [100, 121]

@@ -4,6 +4,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
@@ -33,7 +34,7 @@ def fail_until_marker(x, marker_dir):
     """Fail until a marker file exists for x, creating it on first call.
 
     Gives a task that fails exactly once and succeeds on retry, without
-    any shared in-process state (attempts run in separate processes).
+    any shared in-process state (a retry may run in another worker).
     """
     marker = os.path.join(marker_dir, f"seen-{x}")
     try:
@@ -57,6 +58,25 @@ def crash_on(x, bad):
     if x == bad:
         os._exit(41)
     return x
+
+
+def slow_square(x, delay):
+    time.sleep(delay)
+    return x * x
+
+
+def pid_unless(x, bad):
+    """The worker's pid; task ``bad`` crashes its worker instead."""
+    if x == bad:
+        os._exit(41)
+    return os.getpid()
+
+
+def pid_or_stall(x, bad):
+    """The worker's pid; task ``bad`` stalls past any test timeout."""
+    if x == bad:
+        time.sleep(60.0)
+    return os.getpid()
 
 
 @pytest.fixture(autouse=True)
@@ -206,7 +226,7 @@ class TestEnrichedErrors:
         assert ei.value.seed == derive_seed(2021, 2)
 
     def test_legacy_pool_error_names_seed_too(self):
-        # The plain (unsupervised) path carries the same context.
+        # A plain call (no supervision options) carries the same context.
         with pytest.raises(ParallelTaskError, match=r"cell #2 .*seed="):
             run_tasks(fail_on, [(i, 2) for i in range(5)], workers=2,
                       label="cell", base_seed=7)
@@ -244,12 +264,11 @@ class TestObservables:
 
 class TestZeroOverheadOff:
     def test_plain_call_takes_legacy_path(self, monkeypatch):
-        # The supervised machinery must not engage for a plain call:
-        # chaos injection hooks only exist on the supervised path, so a
-        # kill-targeted plain run completes untouched.
+        # A plain call runs on the supervised executor too, so chaos
+        # injection reaches it and the killed worker is reported as such.
         monkeypatch.setenv("REPRO_CHAOS_KILL", "0,1")
-        assert run_tasks(square, [(0,), (1,)], workers=1) == [0, 1]
-        assert run_tasks(square, [(0,), (1,)], workers=2) == [0, 1]
+        with pytest.raises(ParallelTaskError, match="exit code 57"):
+            run_tasks(square, [(0,), (1,)], workers=2)
 
     def test_supervised_results_match_plain(self):
         tasks = [(i,) for i in range(7)]
@@ -257,6 +276,74 @@ class TestZeroOverheadOff:
         supervised = run_tasks(square, tasks, workers=3, retries=2,
                                timeout=60.0, base_seed=5)
         assert supervised == plain
+
+
+class TestWorkerReuse:
+    def test_tasks_share_at_most_workers_processes(self):
+        out = run_tasks(pid_unless, [(i, -1) for i in range(8)], workers=2,
+                        salvage=True)
+        pids = {o.result for o in out}
+        assert all(o.ok for o in out)
+        assert len(pids) <= 2 and os.getpid() not in pids
+
+    def test_crashed_worker_is_replaced(self):
+        out = run_tasks(pid_unless, [(i, 1) for i in range(6)], workers=2,
+                        salvage=True)
+        assert [o.status for o in out] == ["ok", "failed"] + ["ok"] * 4
+        assert "exit code 41" in out[1].error
+        assert len({o.result for o in out if o.ok}) <= 3
+
+    def test_timed_out_worker_is_replaced(self):
+        out = run_tasks(pid_or_stall, [(i, 0) for i in range(5)], workers=2,
+                        timeout=1.0, salvage=True)
+        assert [o.status for o in out] == ["timed-out"] + ["ok"] * 4
+
+    def test_worker_dead_while_idle_is_not_a_crash(self):
+        def kill_first_worker(outcome):
+            if outcome.index == 0:
+                os.kill(outcome.result, signal.SIGKILL)
+                time.sleep(0.3)
+
+        out = run_tasks(pid_unless, [(i, -1) for i in range(6)], workers=2,
+                        salvage=True, on_result=kill_first_worker)
+        assert all(o.ok for o in out)
+        assert supervision_stats().crashes == 0
+
+    def test_serial_failure_raises_task_exception(self, tmp_path):
+        with RunJournal(tmp_path / "j", scope="serial") as journal:
+            with pytest.raises(ValueError, match="poisoned task 2"):
+                run_tasks(fail_on, [(i, 2) for i in range(4)], workers=1,
+                          journal=journal)
+
+
+class TestConcurrentRuns:
+    def test_crash_seen_while_another_thread_fans_out(self):
+        # The service runs campaigns on threads.  A worker forked for one
+        # run must not inherit another run's fresh pipe end, or that run
+        # reads its crashed worker as EOF only once the first run's
+        # workers exit.
+        finished = {}
+
+        def run(name, fn, tasks):
+            run_tasks(fn, tasks, workers=2, salvage=True)
+            finished[name] = time.monotonic()
+
+        threads = [threading.Thread(
+            target=run, daemon=True,
+            args=("long", slow_square, [(i, 0.3) for i in range(10)]),
+        )]
+        threads += [threading.Thread(
+            target=run, daemon=True,
+            args=(k, crash_on, [(i, 0) for i in range(3)]),
+        ) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+        assert len(finished) == len(threads)
+        long_end = finished.pop("long")
+        assert all(end < long_end for end in finished.values())
 
 
 _SIGINT_CHILD = """
@@ -271,6 +358,56 @@ with RunJournal({journal!r}, scope="ki-test") as j:
     run_tasks(beacon_point, tasks, workers=2, label="point", journal=j)
 print("FINISHED-UNINTERRUPTED")
 """
+
+
+_SIGKILL_CHILD = """
+import sys
+sys.path.insert(0, {src!r})
+from repro.parallel import run_tasks
+from repro.parallel.chaos import beacon_point
+
+run_tasks(beacon_point, [(i, 5.0 + i, 0.4, {beacons!r}) for i in range(6)],
+          workers=2)
+"""
+
+
+def _exited(pid):
+    """True once ``pid`` is gone or a zombie awaiting its new parent."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] == "Z"
+    except FileNotFoundError:
+        return True
+
+
+class TestSupervisorKilled:
+    @pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc")
+    def test_workers_exit_without_sentinel(self, tmp_path):
+        # A supervisor killed without cleanup never sends the sentinel;
+        # its workers must still notice and exit, not wait forever.
+        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+        beacons = tmp_path / "beacons"
+        beacons.mkdir()
+        child = subprocess.Popen([sys.executable, "-c", _SIGKILL_CHILD.format(
+            src=os.path.abspath(src), beacons=str(beacons))])
+        deadline = time.monotonic() + 30.0
+        while len(list(beacons.iterdir())) < 2 and time.monotonic() < deadline:
+            assert child.poll() is None, "child finished before the kill"
+            time.sleep(0.02)
+        child.kill()
+        child.wait(timeout=30)
+        pids = [int(p.name.split("-", 1)[1]) for p in beacons.iterdir()]
+        try:
+            assert len(pids) >= 2
+            deadline = time.monotonic() + 10.0
+            while (not all(_exited(pid) for pid in pids)
+                   and time.monotonic() < deadline):
+                time.sleep(0.05)
+            assert all(_exited(pid) for pid in pids)
+        finally:
+            for pid in pids:
+                if not _exited(pid):
+                    os.kill(pid, signal.SIGKILL)
 
 
 class TestKeyboardInterrupt:
