@@ -49,7 +49,8 @@ from repro.workload.service import DNNInferenceModel
 
 __all__ = ["ScenarioRun", "run_scenario", "scenario_task"]
 
-#: Deployment-kind seed streams (matches ``run_comparison``'s pairing).
+#: Deployment-kind seed streams: edge ``derive_seed(seed, 0)``, cloud
+#: ``derive_seed(seed, 1)``.  The golden matrix pins this pairing.
 _EDGE_STREAM = 0
 _CLOUD_STREAM = 1
 
@@ -211,10 +212,12 @@ def _run_one(spec: ScenarioSpec, kind: str, seed: int,
 def run_scenario(spec: ScenarioSpec, *, max_events: int | None = None) -> ScenarioRun:
     """Execute one scenario (paired edge + cloud runs).
 
-    The pair is seeded like :func:`repro.sim.runner.run_comparison`:
-    edge on ``derive_seed(seed, 0) == seed``'s stream position 0 and
-    cloud on stream 1 — independent but reproducible from the
-    scenario's resolved seed alone.
+    Both runs take derived seeds: edge ``derive_seed(seed, 0)`` and
+    cloud ``derive_seed(seed, 1)``, independent but reproducible from
+    the scenario's resolved seed alone.  This differs from
+    :func:`repro.sim.runner.run_comparison`, which seeds the edge with
+    ``seed`` itself (``derive_seed(seed, 0)`` is a different number); the
+    golden matrix pins the campaign's pairing, so it stays as it is.
     """
     if spec.seed is None:
         raise ValueError(

@@ -29,8 +29,9 @@ fractions of the limit, so sheddable traffic is refused first and
 high-priority goodput survives overload nearly untouched.
 
 Policies plug into a :class:`~repro.sim.station.Station` via its
-``admission=`` parameter (rejections surface with outcome
-``"rejected"``, count in ``station.rejected`` and go to ``on_reject``).
+``admission=`` parameter (rejections count in ``station.rejected`` and
+go to the station's ``on_refuse(request, "rejected")``, so they surface
+with outcome ``"rejected"``).
 """
 
 from __future__ import annotations

@@ -8,24 +8,24 @@ implies: instead of choosing edge *or* cloud, route per request.
 
 The offload signal is local queue pressure (requests in system per
 server), the same signal :class:`~repro.mitigation.geo_lb.GeoLoadBalancer`
-uses between sites.
+uses between sites.  The return legs, refusals, cancellation and
+``on_complete`` hook are the shared ones of
+:class:`~repro.sim.topology.Deployment`.
 """
 
 from __future__ import annotations
-
-from collections.abc import Sequence
 
 from repro.queueing.distributions import Distribution
 from repro.sim.engine import Simulation
 from repro.sim.network import LatencyModel
 from repro.sim.request import Request
 from repro.sim.station import Station
-from repro.sim.tracing import RequestLog
+from repro.sim.topology import Deployment
 
 __all__ = ["HybridDeployment"]
 
 
-class HybridDeployment:
+class HybridDeployment(Deployment):
     """Edge sites with a shared cloud overflow pool.
 
     Parameters
@@ -61,21 +61,16 @@ class HybridDeployment:
             raise ValueError("sites, servers_per_site and cloud_servers must be >= 1")
         if offload_threshold <= 0:
             raise ValueError(f"offload_threshold must be > 0, got {offload_threshold}")
-        self.sim = sim
+        super().__init__(sim)  # before the stations spawn their streams
         self.edge_latency = edge_latency
         self.cloud_latency = cloud_latency
         self.offload_threshold = float(offload_threshold)
-        self.log = RequestLog()
-        self._rng = sim.spawn_rng()
         self.edge_stations = [
-            Station(sim, servers_per_site, service_dist, name=f"site-{i}",
-                    on_departure=self._edge_departure)
+            Station(sim, servers_per_site, service_dist, name=f"site-{i}")
             for i in range(sites)
         ]
-        self.cloud_station = Station(
-            sim, cloud_servers, service_dist, name="cloud",
-            on_departure=self._cloud_departure,
-        )
+        self.cloud_station = Station(sim, cloud_servers, service_dist, name="cloud")
+        self._attach([*self.edge_stations, self.cloud_station])
         self.offloaded = 0
         self.submitted = 0
 
@@ -101,17 +96,9 @@ class HybridDeployment:
                 return st
         raise KeyError(f"unknown home site {request.site!r}")
 
-    def _edge_departure(self, request: Request) -> None:
-        delay = self.edge_latency.sample_oneway(self._rng)
-        self.sim.schedule(delay, self._complete, request)
-
-    def _cloud_departure(self, request: Request) -> None:
-        delay = self.cloud_latency.sample_oneway(self._rng)
-        self.sim.schedule(delay, self._complete, request)
-
-    def _complete(self, request: Request) -> None:
-        request.completed = self.sim.now
-        self.log.add(request)
+    def _latency_of(self, request: Request) -> LatencyModel:
+        # Offloaded requests were re-labelled "cloud" on submit.
+        return self.cloud_latency if request.site == "cloud" else self.edge_latency
 
     @property
     def offload_fraction(self) -> float:

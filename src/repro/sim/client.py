@@ -127,8 +127,9 @@ class ClosedLoopSource:
     the regime interactive applications actually live in, and a useful
     contrast to the open-loop results (ablation A7).
 
-    The target deployment must expose an ``on_complete`` hook (both
-    built-in deployments do); this source chains onto any existing hook.
+    The target deployment must expose an ``on_complete`` hook (every
+    :class:`~repro.sim.topology.Deployment` does); this source chains
+    onto any existing hook.
 
     Parameters
     ----------

@@ -264,7 +264,6 @@ def simulate_lb_system(
     *,
     policy: str = "round-robin",
     backends: int | None = None,
-    lb_overhead: float = 0.0,
 ) -> SystemResult:
     """Simulate a cloud deployment behind a load balancer.
 
@@ -272,8 +271,8 @@ def simulate_lb_system(
     groups rather than the idealized central queue; this is the fastsim
     counterpart of :class:`~repro.sim.topology.CloudDeployment` with a
     dispatch policy.  Requests reach the LB after their outbound network
-    leg (plus ``lb_overhead``), are dispatched to per-backend FCFS queues
-    in LB-arrival order, and return over the second leg.
+    leg, are dispatched to per-backend FCFS queues in LB-arrival order,
+    and return over the second leg.
 
     Parameters
     ----------
@@ -286,8 +285,6 @@ def simulate_lb_system(
         ``"jsq"`` (join shortest queue / HAProxy ``leastconn``).
     backends:
         Backend count (default: one backend per server).
-    lb_overhead:
-        Extra one-way delay through the balancer, seconds.
     """
     rng = np.random.default_rng(0) if rng is None else rng
     a = np.asarray(arrival_times, dtype=float)
@@ -302,8 +299,6 @@ def simulate_lb_system(
         raise ValueError(f"backends must be >= 1, got {backends}")
     if servers % backends != 0:
         raise ValueError(f"servers ({servers}) must divide evenly among {backends} backends")
-    if lb_overhead < 0:
-        raise ValueError(f"lb_overhead must be >= 0, got {lb_overhead}")
     per_backend = servers // backends
     n = a.size
     if n == 0:
@@ -312,13 +307,13 @@ def simulate_lb_system(
 
     if isinstance(latency, ConstantLatency):
         rtts = np.full(n, latency.mean_rtt)
-        at_lb = a + (latency.mean_rtt / 2.0 + lb_overhead)
+        at_lb = a + latency.mean_rtt / 2.0
         order = None
     else:
         legs_out = latency.sample_oneway_batch(rng, n)
         legs_back = latency.sample_oneway_batch(rng, n)
         rtts = legs_out + legs_back
-        at_lb = a + (legs_out + lb_overhead)
+        at_lb = a + legs_out
         order = np.argsort(at_lb, kind="stable")
         at_lb = at_lb[order]
 
@@ -336,11 +331,8 @@ def simulate_lb_system(
         inverse = np.empty_like(order)
         inverse[order] = np.arange(order.size)
         waits = waits[inverse]
-    # The balancer sits on the inbound path only, mirroring the DES
-    # CloudDeployment (responses bypass it).
-    network = rtts + lb_overhead if lb_overhead else rtts
-    e2e = network + waits + s
-    return SystemResult(e2e, waits, s, network, np.zeros(n, dtype=np.int64), a)
+    e2e = rtts + waits + s
+    return SystemResult(e2e, waits, s, rtts, np.zeros(n, dtype=np.int64), a)
 
 
 def simulate_edge_system(

@@ -113,7 +113,6 @@ def run_deployment(
             ],
             router=router,
         )
-        stations = [site.station for site in deployment.sites]
     else:
         deployment = CloudDeployment(
             sim,
@@ -123,7 +122,6 @@ def run_deployment(
             policy=policy,
             backends=backends,
         )
-        stations = deployment.stations
 
     for i, rate in enumerate(rates):
         site = f"site-{i}" if kind == "edge" else f"client-{i}"
@@ -145,8 +143,8 @@ def run_deployment(
     # RequestLog buffer alive until a full cyclic collection.  Nothing
     # outlives this call but the breakdown, so unhook them and let
     # reference counting free the deployment on return.
-    for station in stations:
-        station.on_departure = station.on_drop = station.on_shed = station.on_reject = None
+    for station in deployment.stations:
+        station.on_departure = station.on_refuse = None
     return breakdown
 
 

@@ -58,8 +58,10 @@ class Station:
         unbounded queue.  Arrivals past the bound are dropped — the
         paper's observed behaviour of the real stack at saturation
         ("starts dropping requests or thrashing").
-    on_drop:
-        Callback invoked with each dropped request.
+    on_refuse:
+        Callback invoked as ``on_refuse(request, outcome)`` with each
+        refused request; ``outcome`` is ``"rejected"`` (admission),
+        ``"dropped"`` (queue capacity) or ``"shed"`` (discipline).
     discipline:
         Waiting-line order/shedding policy
         (:class:`~repro.sim.overload.QueueDiscipline`); ``None`` is
@@ -67,18 +69,13 @@ class Station:
     admission:
         Front-door policy with ``admit(station, request, now) -> bool``
         (e.g. :class:`~repro.mitigation.admission.AdaptiveAdmission`).
-        Refused requests count as ``rejected`` and go to ``on_reject``.
+        Refused requests count as ``rejected`` and go to ``on_refuse``.
         If the policy exposes ``on_response(latency, ok, now)`` it is
         fed every service completion and every drop/shed — the feedback
         adaptive concurrency limiters learn from.
-    on_reject:
-        Callback invoked with each admission-rejected request.
     brownout:
         Optional :class:`~repro.sim.overload.BrownoutController`; under
         pressure, service starts run a degraded (cheaper) variant.
-    on_shed:
-        Callback invoked with each discipline-shed request (defaults to
-        ``on_drop`` when unset, so sheds still surface to deployments).
     """
 
     def __init__(
@@ -89,12 +86,10 @@ class Station:
         name: str = "station",
         on_departure: Callable[[Request], None] | None = None,
         queue_capacity: int | None = None,
-        on_drop: Callable[[Request], None] | None = None,
+        on_refuse: Callable[[Request, str], None] | None = None,
         discipline: QueueDiscipline | None = None,
         admission=None,
-        on_reject: Callable[[Request], None] | None = None,
         brownout: BrownoutController | None = None,
-        on_shed: Callable[[Request], None] | None = None,
     ):
         if servers < 1:
             raise ValueError(f"servers must be >= 1, got {servers}")
@@ -105,9 +100,7 @@ class Station:
         self.service_dist = service_dist
         self.on_departure = on_departure
         self.queue_capacity = queue_capacity
-        self.on_drop = on_drop
-        self.on_reject = on_reject
-        self.on_shed = on_shed
+        self.on_refuse = on_refuse
         self.admission = admission
         self._admission_feedback = getattr(admission, "on_response", None)
         self.brownout = brownout
@@ -220,8 +213,8 @@ class Station:
         request.arrived = self.sim.now
         if self.admission is not None and not self.admission.admit(self, request, self.sim.now):
             self.rejected += 1
-            if self.on_reject is not None:
-                self.on_reject(request)
+            if self.on_refuse is not None:
+                self.on_refuse(request, "rejected")
             return
         if not self._failed and self._busy < self._servers:
             self._start(request)
@@ -231,8 +224,8 @@ class Station:
             self.drops += 1
             if self._admission_feedback is not None:
                 self._admission_feedback(None, False, self.sim.now)
-            if self.on_drop is not None:
-                self.on_drop(request)
+            if self.on_refuse is not None:
+                self.on_refuse(request, "dropped")
 
     def cancel(self, request: Request) -> bool:
         """Remove a *waiting* request from the queue (client timeout).
@@ -242,9 +235,10 @@ class Station:
         ignores the late response (wasted work, as in a real stack where
         the backend does not observe client disconnects mid-request).
         """
-        if not self._discipline.remove(request):
-            return False
-        self._account()
+        if request not in self._discipline:
+            return False  # held elsewhere: leave this station's integrals alone
+        self._account()  # the request waited up to now: count it first
+        self._discipline.remove(request)
         self.cancellations += 1
         self.cancelled_waiting += 1
         return True
@@ -274,9 +268,8 @@ class Station:
         self.shed += 1
         if self._admission_feedback is not None:
             self._admission_feedback(None, False, self.sim.now)
-        callback = self.on_shed if self.on_shed is not None else self.on_drop
-        if callback is not None:
-            callback(request)
+        if self.on_refuse is not None:
+            self.on_refuse(request, "shed")
 
     def _sample_service(self) -> float:
         block = self._svc_block

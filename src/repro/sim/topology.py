@@ -10,8 +10,11 @@ Two deployment shapes mirror Figure 1 of the paper:
   central-queue station (the paper's analytic M/M/k model) or multiple
   per-server stations behind a dispatch policy (the HAProxy reality).
 
-Both share a submit → (wire out) → queue/serve → (wire back) → log
-pipeline; the deployment, not the station, owns the network legs.
+Both subclass :class:`Deployment`, which owns the shared half of the
+submit → (wire out) → queue/serve → (wire back) → log pipeline: the
+return leg, the refusal leg, the outcome counters and the request log.
+The deployment, not the station, owns the network legs; a subclass only
+routes requests out and names the network model each one returns over.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from repro.sim.station import Station
 from repro.sim.tracing import RequestLog
 from repro.stats.refusals import RefusalCounts
 
-__all__ = ["EdgeSite", "EdgeDeployment", "CloudDeployment", "SiteRouter"]
+__all__ = ["Deployment", "EdgeSite", "EdgeDeployment", "CloudDeployment", "SiteRouter"]
 
 
 class SiteRouter(Protocol):
@@ -43,6 +46,96 @@ class SiteRouter(Protocol):
     def route(
         self, deployment: "EdgeDeployment", request: Request, home: "EdgeSite"
     ) -> tuple["EdgeSite", float]: ...
+
+
+class Deployment:
+    """The client-facing half every deployment shares.
+
+    A subclass routes requests out (:meth:`submit`), names the network
+    model a request returns over (:meth:`_latency_of`) and hands its
+    stations to :meth:`_attach`.  The base owns the rest: the return leg
+    of a served request (:meth:`_on_departure` → :meth:`_complete`, into
+    ``log``), the return leg of a refusal (:meth:`_on_refuse` →
+    :meth:`_complete_failed`, counted in ``dropped``/``shed``/
+    ``rejected``), responses lost on the wire (``lost``), client
+    cancellation and telemetry reporting.  Every outcome, served or
+    refused, reaches the optional ``on_complete`` hook, so closed-loop
+    users and resilient clients observe it.
+
+    The constructor spawns the deployment's random stream (network legs
+    and dispatch ties), so where a subclass calls it fixes the seeded
+    stream layout.
+    """
+
+    def __init__(self, sim: Simulation):
+        self.sim = sim
+        self.log = RequestLog()
+        self.on_complete = None  # optional hook: called with each finished request
+        self.stations: list[Station] = []
+        self.dropped = 0
+        self.shed = 0
+        self.rejected = 0
+        self.lost = 0
+        self._rng = sim.spawn_rng()
+        self._tel = sim.telemetry
+
+    def _latency_of(self, request: Request) -> LatencyModel:
+        """The network model ``request`` returns to its client over."""
+        raise NotImplementedError
+
+    def _attach(self, stations: Sequence[Station]) -> None:
+        """Own ``stations``: their departures and refusals come back here."""
+        self.stations = list(stations)
+        for station in self.stations:
+            station.on_departure = self._on_departure
+            station.on_refuse = self._on_refuse
+
+    def cancel(self, request: Request) -> bool:
+        """Best-effort cancellation of a queued request (client timeout)."""
+        return any(station.cancel(request) for station in self.stations)
+
+    def _on_departure(self, request: Request) -> None:
+        latency = self._latency_of(request)
+        if latency.is_lost(self._rng, self.sim.now):
+            self.lost += 1
+            request.outcome = "lost"
+            return  # response lost on the return leg: served but never seen
+        delay = latency.sample_oneway(self._rng)
+        self.sim.schedule(delay, self._complete, request)
+
+    def _on_refuse(self, request: Request, outcome: str) -> None:
+        # The refusal still crosses the return wire leg, then surfaces
+        # through ``on_complete`` with a failed outcome (conserving the
+        # closed-loop population).
+        delay = self._latency_of(request).sample_oneway(self._rng)
+        self.sim.schedule(delay, self._complete_failed, request, outcome)
+
+    def _complete_failed(self, request: Request, outcome: str) -> None:
+        request.completed = self.sim.now
+        request.outcome = outcome
+        if outcome == "shed":
+            self.shed += 1
+        elif outcome == "rejected":
+            self.rejected += 1
+        else:
+            self.dropped += 1
+        if self._tel is not None:
+            self._tel.record_refusal(request, outcome)
+        if self.on_complete is not None:
+            self.on_complete(request)
+
+    def _complete(self, request: Request) -> None:
+        request.completed = self.sim.now
+        self.log.add(request)
+        if self._tel is not None:
+            self._tel.record_success(request)
+        if self.on_complete is not None:
+            self.on_complete(request)
+
+    @property
+    def refusal_counts(self) -> RefusalCounts:
+        """Refusals that surfaced to clients, as one value."""
+        return RefusalCounts.from_deployment(self)
 
 
 class EdgeSite:
@@ -84,7 +177,7 @@ class EdgeSite:
         return f"EdgeSite(name={self.name!r}, servers={self.station.servers})"
 
 
-class EdgeDeployment:
+class EdgeDeployment(Deployment):
     """k edge sites, each serving its locally attached clients.
 
     Parameters
@@ -108,23 +201,11 @@ class EdgeDeployment:
         names = [s.name for s in sites]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate site names: {names}")
-        self.sim = sim
+        super().__init__(sim)  # after the caller built the sites' streams
         self.sites = list(sites)
         self.by_name = {s.name: s for s in self.sites}
         self.router = router
-        self.log = RequestLog()
-        self.on_complete = None  # optional hook: called with each finished request
-        self.dropped = 0
-        self.shed = 0
-        self.rejected = 0
-        self.lost = 0
-        self._rng = sim.spawn_rng()
-        self._tel = sim.telemetry
-        for site in self.sites:
-            site.station.on_departure = self._on_departure
-            site.station.on_drop = self._on_drop
-            site.station.on_shed = self._on_shed
-            site.station.on_reject = self._on_reject
+        self._attach([site.station for site in self.sites])
 
     def submit(self, request: Request) -> None:
         """Send a request from its client toward its home edge site."""
@@ -145,70 +226,14 @@ class EdgeDeployment:
         delay = site.latency.sample_oneway(self._rng) + extra
         self.sim.schedule(delay, site.station.arrive, request)
 
-    def cancel(self, request: Request) -> bool:
-        """Best-effort cancellation of a queued request (client timeout)."""
-        site = self.by_name.get(request.site)
-        return site is not None and site.station.cancel(request)
-
-    def _on_departure(self, request: Request) -> None:
-        site = self.by_name[request.site]
-        if site.latency.is_lost(self._rng, self.sim.now):
-            self.lost += 1
-            request.outcome = "lost"
-            return  # response lost on the return leg: served but never seen
-        delay = site.latency.sample_oneway(self._rng)
-        self.sim.schedule(delay, self._complete, request)
-
-    def _on_drop(self, request: Request) -> None:
-        # Bounded-queue rejection: the refusal still crosses the return
-        # wire leg, then surfaces through ``on_complete`` with a failed
-        # outcome so closed-loop users and resilient clients observe it
-        # (conserving the closed-loop population).
-        self._refuse(request, "dropped")
-
-    def _on_shed(self, request: Request) -> None:
-        self._refuse(request, "shed")
-
-    def _on_reject(self, request: Request) -> None:
-        self._refuse(request, "rejected")
-
-    def _refuse(self, request: Request, outcome: str) -> None:
-        site = self.by_name[request.site]
-        delay = site.latency.sample_oneway(self._rng)
-        self.sim.schedule(delay, self._complete_failed, request, outcome)
-
-    def _complete_failed(self, request: Request, outcome: str) -> None:
-        request.completed = self.sim.now
-        request.outcome = outcome
-        if outcome == "shed":
-            self.shed += 1
-        elif outcome == "rejected":
-            self.rejected += 1
-        else:
-            self.dropped += 1
-        if self._tel is not None:
-            self._tel.record_refusal(request, outcome)
-        if self.on_complete is not None:
-            self.on_complete(request)
-
-    def _complete(self, request: Request) -> None:
-        request.completed = self.sim.now
-        self.log.add(request)
-        if self._tel is not None:
-            self._tel.record_success(request)
-        if self.on_complete is not None:
-            self.on_complete(request)
-
-    @property
-    def refusal_counts(self) -> RefusalCounts:
-        """Refusals that surfaced to clients, as one value."""
-        return RefusalCounts.from_deployment(self)
+    def _latency_of(self, request: Request) -> LatencyModel:
+        return self.by_name[request.site].latency
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"EdgeDeployment(sites={[s.name for s in self.sites]})"
 
 
-class CloudDeployment:
+class CloudDeployment(Deployment):
     """A distant cloud data center serving the aggregate workload.
 
     Parameters
@@ -230,10 +255,6 @@ class CloudDeployment:
     backends:
         Number of backend stations when ``policy`` is given; ``servers``
         must divide evenly among them.
-    lb_overhead:
-        Extra one-way delay (seconds) of the load-balancer hop the
-        cloud path crosses and the edge path does not (HAProxy in the
-        paper's setup); applied on the inbound leg.
     queue_capacity:
         Per-station bound on *waiting* requests (``None`` = unbounded).
         Rejections route through the drop path like edge drops.
@@ -252,48 +273,34 @@ class CloudDeployment:
         service_dist: Distribution | None = None,
         policy: DispatchPolicy | None = None,
         backends: int | None = None,
-        lb_overhead: float = 0.0,
         queue_capacity: int | None = None,
         discipline=None,
         admission=None,
         brownout=None,
     ):
-        if lb_overhead < 0:
-            raise ValueError(f"lb_overhead must be >= 0, got {lb_overhead}")
-        self.sim = sim
+        super().__init__(sim)  # before the stations spawn their streams
         self.latency = latency
         self.policy = policy
-        self.lb_overhead = float(lb_overhead)
-        self.log = RequestLog()
-        self.on_complete = None  # optional hook: called with each finished request
-        self.dropped = 0
-        self.shed = 0
-        self.rejected = 0
-        self.lost = 0
-        self._rng = sim.spawn_rng()
-        self._tel = sim.telemetry
 
         def make(control):
             return control() if callable(control) else control
 
         def station(n_servers, name):
             return Station(
-                sim, n_servers, service_dist, name=name,
-                on_departure=self._on_departure, queue_capacity=queue_capacity,
-                on_drop=self._on_drop, on_shed=self._on_shed, on_reject=self._on_reject,
+                sim, n_servers, service_dist, name=name, queue_capacity=queue_capacity,
                 discipline=make(discipline), admission=make(admission),
                 brownout=make(brownout),
             )
 
         if policy is None:
-            self.stations = [station(servers, "cloud")]
+            self._attach([station(servers, "cloud")])
         else:
             if backends is None:
                 raise ValueError("backends is required when a dispatch policy is given")
             if servers % backends != 0:
                 raise ValueError(f"servers ({servers}) must divide evenly among {backends} backends")
             per = servers // backends
-            self.stations = [station(per, f"cloud-{i}") for i in range(backends)]
+            self._attach([station(per, f"cloud-{i}") for i in range(backends)])
         if self._tel is not None and policy is not None:
             self._tel.register_observables("lb.cloud", policy)
 
@@ -303,12 +310,8 @@ class CloudDeployment:
             self.lost += 1
             request.outcome = "lost"
             return
-        delay = self.latency.sample_oneway(self._rng) + self.lb_overhead
+        delay = self.latency.sample_oneway(self._rng)
         self.sim.schedule(delay, self._dispatch, request)
-
-    def cancel(self, request: Request) -> bool:
-        """Best-effort cancellation of a queued request (client timeout)."""
-        return any(st.cancel(request) for st in self.stations)
 
     def _dispatch(self, request: Request) -> None:
         if request.canceled:
@@ -319,53 +322,8 @@ class CloudDeployment:
             station = self.policy.choose(self.stations, self._rng)
         station.arrive(request)
 
-    def _on_departure(self, request: Request) -> None:
-        if self.latency.is_lost(self._rng, self.sim.now):
-            self.lost += 1
-            request.outcome = "lost"
-            return
-        delay = self.latency.sample_oneway(self._rng)
-        self.sim.schedule(delay, self._complete, request)
-
-    def _on_drop(self, request: Request) -> None:
-        self._refuse(request, "dropped")
-
-    def _on_shed(self, request: Request) -> None:
-        self._refuse(request, "shed")
-
-    def _on_reject(self, request: Request) -> None:
-        self._refuse(request, "rejected")
-
-    def _refuse(self, request: Request, outcome: str) -> None:
-        delay = self.latency.sample_oneway(self._rng)
-        self.sim.schedule(delay, self._complete_failed, request, outcome)
-
-    def _complete_failed(self, request: Request, outcome: str) -> None:
-        request.completed = self.sim.now
-        request.outcome = outcome
-        if outcome == "shed":
-            self.shed += 1
-        elif outcome == "rejected":
-            self.rejected += 1
-        else:
-            self.dropped += 1
-        if self._tel is not None:
-            self._tel.record_refusal(request, outcome)
-        if self.on_complete is not None:
-            self.on_complete(request)
-
-    def _complete(self, request: Request) -> None:
-        request.completed = self.sim.now
-        self.log.add(request)
-        if self._tel is not None:
-            self._tel.record_success(request)
-        if self.on_complete is not None:
-            self.on_complete(request)
-
-    @property
-    def refusal_counts(self) -> RefusalCounts:
-        """Refusals that surfaced to clients, as one value."""
-        return RefusalCounts.from_deployment(self)
+    def _latency_of(self, request: Request) -> LatencyModel:
+        return self.latency
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         kind = "central-queue" if self.policy is None else type(self.policy).__name__

@@ -26,7 +26,6 @@ from repro.workload.arrivals import (
     MMPPArrivals,
     NonHomogeneousPoisson,
     PoissonArrivals,
-    merge_traces,
 )
 from repro.workload.characterize import (
     WorkloadProfile,
@@ -65,7 +64,6 @@ __all__ = [
     "HyperExpArrivals",
     "MMPPArrivals",
     "NonHomogeneousPoisson",
-    "merge_traces",
     "save_trace_csv",
     "load_trace_csv",
     "save_trace_npz",

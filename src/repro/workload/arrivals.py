@@ -35,7 +35,6 @@ __all__ = [
     "HyperExpArrivals",
     "MMPPArrivals",
     "NonHomogeneousPoisson",
-    "merge_traces",
 ]
 
 
@@ -255,8 +254,3 @@ class NonHomogeneousPoisson(ArrivalProcess):
             raise ValueError("rate_fn must stay within [0, max_rate] over the horizon")
         keep = rng.random(candidates.size) < rates / self.max_rate
         return RequestTrace(candidates[keep])
-
-
-def merge_traces(traces: list[RequestTrace]) -> RequestTrace:
-    """Superpose several traces (alias of :meth:`RequestTrace.merge`)."""
-    return RequestTrace.merge(traces)

@@ -107,15 +107,16 @@ class TestTokenBucketAdmission:
 
     def test_on_reject_callback(self):
         sim = Simulation(0)
-        rejected = []
+        outcomes = []
         st = Station(
             sim, 1, Deterministic(1.0),
-            admission=TokenBucketAdmission(rate=0.1, burst=1.0), on_reject=rejected.append,
+            admission=TokenBucketAdmission(rate=0.1, burst=1.0),
+            on_refuse=lambda r, outcome: outcomes.append(outcome),
         )
         for i in range(3):
             sim.schedule(0.0, st.arrive, Request(i, created=0.0))
         sim.run(until=0.5)
-        assert len(rejected) == 2
+        assert outcomes == ["rejected", "rejected"]
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -172,14 +172,14 @@ class TestBoundedStation:
 
         sim = Simulation(0)
         st_ = Station(sim, 1, Deterministic(10.0), queue_capacity=1)
-        dropped = []
-        st_.on_drop = dropped.append
+        outcomes = []
+        st_.on_refuse = lambda r, outcome: outcomes.append(outcome)
         for i in range(4):
             sim.schedule(0.0, st_.arrive, Request(i, created=0.0))
         sim.run(until=1.0)
         # One in service, one queued, two dropped.
         assert st_.drops == 2
-        assert len(dropped) == 2
+        assert outcomes == ["dropped", "dropped"]
         assert st_.loss_rate == pytest.approx(0.5)
 
     def test_mm1k_loss_matches_theory(self):

@@ -1,8 +1,9 @@
-"""Tests for the closed-loop client model and the LB-overhead knob."""
+"""Tests for the closed-loop client model and the cloud's network legs."""
 
 import numpy as np
 import pytest
 
+from repro.mitigation.offload import HybridDeployment
 from repro.queueing.distributions import Deterministic, Exponential
 from repro.sim.client import ClosedLoopSource, OpenLoopSource
 from repro.sim.engine import Simulation
@@ -71,6 +72,21 @@ class TestClosedLoopSource:
         assert len(edge.log) == src.generated
         assert len(edge.log) > 100
 
+    def test_works_on_hybrid_deployment(self):
+        sim = Simulation(4)
+        hybrid = HybridDeployment(
+            sim, sites=1, servers_per_site=1, cloud_servers=2,
+            edge_latency=ConstantLatency(0.001), cloud_latency=ConstantLatency(0.02),
+            service_dist=SERVICE,
+        )
+        src = ClosedLoopSource(
+            sim, hybrid, users=4, think=Exponential(0.05), site="site-0", stop_time=200.0
+        )
+        sim.run()
+        assert hybrid.offloaded > 0  # both tiers answered the loop
+        assert src.generated == len(hybrid.log)
+        assert src.outstanding == 0
+
     def test_chains_existing_hook(self):
         sim = Simulation(3)
         cloud = CloudDeployment(
@@ -92,25 +108,30 @@ class TestClosedLoopSource:
 
 
 class TestLbOverhead:
+    """The cloud path has no separate balancer hop: its network time is
+    the client RTT, whatever the dispatch policy."""
+
     def test_adds_to_network_time(self):
-        sim = Simulation(0)
-        cloud = CloudDeployment(
-            sim, servers=1, latency=ConstantLatency(0.020),
-            service_dist=Deterministic(0.01), lb_overhead=0.002,
-        )
+        from repro.sim.loadbalancer import RoundRobin
         from repro.sim.request import Request
 
-        req = Request(0, created=0.0)
-        sim.schedule(0.0, cloud.submit, req)
-        sim.run()
-        # one-way 10ms + 2ms LB + return 10ms.
-        assert req.network_time == pytest.approx(0.022)
+        for policy, backends in ((None, None), (RoundRobin(), 1)):
+            sim = Simulation(0)
+            cloud = CloudDeployment(
+                sim, servers=1, latency=ConstantLatency(0.020),
+                service_dist=Deterministic(0.01), policy=policy, backends=backends,
+            )
+            req = Request(0, created=0.0)
+            sim.schedule(0.0, cloud.submit, req)
+            sim.run()
+            # one-way 10ms + return 10ms, nothing added by a balancer.
+            assert req.network_time == pytest.approx(0.020)
 
     def test_negative_rejected(self):
         sim = Simulation(0)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             CloudDeployment(
-                sim, servers=1, latency=ConstantLatency(0.0), lb_overhead=-0.001
+                sim, servers=1, latency=ConstantLatency(0.0), lb_overhead=0.001
             )
 
 

@@ -185,15 +185,16 @@ class TestLbTopology:
             np.testing.assert_array_equal(des_wait, fast.wait)
 
     def test_lb_overhead_inbound_only(self):
-        """LB overhead rides the inbound leg once, like the DES topology."""
+        """The balancer adds no hop: network time is the RTT, like the DES topology."""
         a = np.array([0.0, 10.0])
         s = np.array([1.0, 1.0])
         res = simulate_lb_system(
-            a, s, 2, ConstantLatency(0.020), policy="round-robin",
-            backends=2, lb_overhead=0.005,
+            a, s, 2, ConstantLatency(0.020), policy="round-robin", backends=2,
         )
-        np.testing.assert_allclose(res.network, 0.025)
-        np.testing.assert_allclose(res.end_to_end, 0.025 + 1.0)
+        np.testing.assert_array_equal(res.network, 0.020)
+        np.testing.assert_allclose(res.end_to_end, 0.020 + 1.0)
+        with pytest.raises(TypeError):
+            simulate_lb_system(a, s, 2, ConstantLatency(0.020), lb_overhead=0.005)
 
 
 #: Figure 7's utilization grid: 13 points, up to rho = 0.948.

@@ -115,15 +115,15 @@ class TestCoDel:
             sim, 1, Deterministic(1.0),
             discipline=CoDelDiscipline(target=0.1, interval=0.2),
         )
-        shed = []
-        st.on_shed = shed.append
+        refused = []
+        st.on_refuse = lambda r, outcome: refused.append((r.rid, outcome))
         for rid in range(5):
             sim.schedule(0.0, st.arrive, make_request(rid))
         sim.run()
         # r0 served at once.  r1 pops at t=1 stale but inside the tolerated
         # interval.  r2 confirms sustained excess and is shed; r3 serves
         # between paced drops; r4 is shed by the escalating drop law.
-        assert [r.rid for r in shed] == [2, 4]
+        assert refused == [(2, "shed"), (4, "shed")]
         assert st.shed == 2
         assert st.completions == 3
         assert st.arrivals == st.completions + st.shed

@@ -111,6 +111,20 @@ class TestAccounting:
         # Second request queued during [0, 2) of a 4s horizon.
         assert st.mean_queue_length() == pytest.approx(0.5)
 
+    def test_cancel_keeps_waited_time_in_queue_integral(self):
+        sim = Simulation(0)
+        st = Station(sim, 1, Deterministic(10.0))
+        waiting = make_request(1)
+        sim.schedule(0.0, st.arrive, make_request(0))
+        sim.schedule(0.0, st.arrive, waiting)
+        sim.schedule(4.0, st.cancel, waiting)
+        sim.run(until=5.0)
+        # The cancelled request waited during [0, 4) of a 5s horizon.
+        assert st.cancelled_waiting == 1
+        assert st.queue_time() == pytest.approx(4.0)
+        assert st.mean_queue_length() == pytest.approx(0.8)
+        assert not st.cancel(waiting)  # already gone: no second removal
+
     def test_poisson_utilization_matches_rho(self):
         sim = Simulation(42)
         st = Station(sim, 1, Exponential(1.0 / 13.0))

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.mitigation.admission import OccupancyAdmission
 from repro.queueing.distributions import Deterministic, Exponential
 from repro.sim.client import OpenLoopSource, TraceSource
 from repro.sim.engine import Simulation
@@ -141,6 +142,39 @@ class TestCloudDeployment:
         bd = cloud.log.breakdown()
         assert len(bd) == 5
         np.testing.assert_allclose(bd.network, 0.002)
+
+
+class TestRefusalPipeline:
+    """Station refusals return over the wire to ``on_complete`` on every
+    deployment, counted by outcome."""
+
+    @pytest.mark.parametrize(
+        "control, outcome",
+        [({"queue_capacity": 0}, "dropped"), ({"admission": OccupancyAdmission(1)}, "rejected")],
+        ids=["dropped", "rejected"],
+    )
+    @pytest.mark.parametrize("kind", ["edge", "cloud"])
+    def test_refusal_reaches_on_complete(self, kind, control, outcome):
+        sim = Simulation(0)
+        latency = ConstantLatency(0.010)
+        if kind == "edge":
+            deployment = EdgeDeployment(
+                sim, [EdgeSite(sim, "site-0", 1, latency, Deterministic(1.0), **control)]
+            )
+        else:
+            deployment = CloudDeployment(sim, 1, latency, Deterministic(1.0), **control)
+        seen = []
+        deployment.on_complete = lambda r: seen.append((r.rid, r.outcome, r.completed))
+        for rid in range(2):
+            sim.schedule(0.0, deployment.submit, Request(rid, site="site-0", created=0.0))
+        sim.run()
+        # r1 is refused on arrival (t = 5 ms) and answered 5 ms later;
+        # r0 is served and answered at 1.01 s.
+        assert seen == [(1, outcome, pytest.approx(0.010)), (0, None, pytest.approx(1.010))]
+        assert deployment.refusal_counts.as_dict() == {
+            "rejected": 0, "dropped": 0, "shed": 0, outcome: 1
+        }
+        assert len(deployment.log) == 1
 
 
 class TestOpenLoopSource:

@@ -9,9 +9,9 @@ from repro.workload.arrivals import (
     HyperExpArrivals,
     MMPPArrivals,
     PoissonArrivals,
-    merge_traces,
 )
 from repro.workload.service import DNNInferenceModel, ImageClassifierService
+from repro.workload.trace import RequestTrace
 
 
 class TestPoissonArrivals:
@@ -103,7 +103,7 @@ class TestMergeTraces:
     def test_superposition_rate_adds(self):
         rng = np.random.default_rng(3)
         parts = [PoissonArrivals(5.0).generate(rng, horizon=1000.0) for _ in range(4)]
-        merged = merge_traces(parts)
+        merged = RequestTrace.merge(parts)
         assert merged.mean_rate == pytest.approx(20.0, rel=0.05)
 
 
