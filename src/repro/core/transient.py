@@ -15,7 +15,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.queueing.mmck import MMcK
-from repro.queueing.mmk import MMk
 from repro.workload.trace import RequestTrace
 
 __all__ = ["quasi_stationary_latency", "predict_windowed_series"]

@@ -82,11 +82,14 @@ class HybridDeployment(Deployment):
         if pressure >= self.offload_threshold:
             self.offloaded += 1
             request.site = "cloud"
-            delay = self.cloud_latency.sample_oneway(self._rng)
-            self.sim.schedule(delay, self.cloud_station.arrive, request)
+            latency, station = self.cloud_latency, self.cloud_station
         else:
-            delay = self.edge_latency.sample_oneway(self._rng)
-            self.sim.schedule(delay, home.arrive, request)
+            latency, station = self.edge_latency, home
+        if latency.is_lost(self._rng, self.sim.now):
+            self.lost += 1
+            request.outcome = "lost"
+            return  # silently never arrives; only a client deadline recovers it
+        self.sim.schedule(latency.sample_oneway(self._rng), station.arrive, request)
 
     def _home_station(self, request: Request) -> Station:
         if request.site is None:

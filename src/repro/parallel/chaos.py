@@ -33,8 +33,6 @@ import time
 
 import numpy as np
 
-from repro.parallel.seeding import derive_rng
-
 __all__ = [
     "CHAOS_KILL_ENV",
     "CHAOS_ONCE_DIR_ENV",

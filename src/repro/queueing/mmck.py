@@ -15,8 +15,6 @@ M/M/c.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 __all__ = ["MMcK"]

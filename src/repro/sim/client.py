@@ -19,6 +19,7 @@ import numpy as np
 
 from repro.sim.engine import Simulation
 from repro.sim.request import Request
+from repro.workload.trace import RequestTrace
 
 __all__ = ["OpenLoopSource", "ClosedLoopSource", "TraceSource", "Target"]
 
@@ -210,7 +211,8 @@ class TraceSource:
     target:
         Deployment receiving the requests.
     arrival_times:
-        Absolute request timestamps (seconds), non-decreasing.
+        Absolute request timestamps (seconds), finite and non-decreasing,
+        none before ``sim.now``.
     service_times:
         Optional per-request service demands; when given, stations use
         these instead of sampling (trace-faithful replay).
@@ -226,22 +228,9 @@ class TraceSource:
         service_times=None,
         site: str | None = None,
     ):
-        times = np.asarray(arrival_times, dtype=float)
-        if times.ndim != 1:
-            raise ValueError("arrival_times must be 1-D")
-        if times.size and np.any(np.diff(times) < 0):
-            raise ValueError("arrival_times must be non-decreasing")
-        if times.size and times[0] < sim.now:
+        trace = RequestTrace(arrival_times, service_times)
+        if len(trace) and trace.arrival_times[0] < sim.now:
             raise ValueError("trace starts in the past")
-        services = None
-        if service_times is not None:
-            services = np.asarray(service_times, dtype=float)
-            if services.shape != times.shape:
-                raise ValueError(
-                    f"service_times shape {services.shape} != arrival_times shape {times.shape}"
-                )
-            if services.size and services.min() < 0:
-                raise ValueError("service_times must be non-negative")
         self.sim = sim
         self.target = target
         self.site = site
@@ -249,25 +238,29 @@ class TraceSource:
         # Lazy scheduling: only the *next* trace event sits in the
         # calendar (O(1) per source instead of O(len(trace)) — a
         # multi-hour Azure trace no longer materializes millions of
-        # heap entries up front).
-        self._times = times
-        self._services = services
+        # heap entries up front).  The arrays are converted once to
+        # plain float lists, so each event pays a list index, not a
+        # NumPy scalar read.
+        self._times: list[float] = trace.arrival_times.tolist()
+        self._services: list[float] | None = (
+            None if trace.service_times is None else trace.service_times.tolist()
+        )
         self._next = 0
-        if times.size:
-            sim.schedule_at(float(times[0]), self._fire)
+        if self._times:
+            sim.schedule_at(self._times[0], self._fire)
 
     @property
     def remaining(self) -> int:
         """Trace entries not yet fired."""
-        return int(self._times.size - self._next)
+        return len(self._times) - self._next
 
     def _fire(self) -> None:
         i = self._next
-        service_time = float(self._services[i]) if self._services is not None else None
-        self._next += 1
+        service_time = self._services[i] if self._services is not None else None
+        self._next = i + 1
         self.generated += 1
-        if self._next < self._times.size:
-            self.sim.schedule_at(float(self._times[self._next]), self._fire)
+        if i + 1 < len(self._times):
+            self.sim.schedule_at(self._times[i + 1], self._fire)
         request = Request(
             next(_GLOBAL_RID), site=self.site, created=self.sim.now, service_time=service_time
         )

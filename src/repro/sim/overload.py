@@ -65,6 +65,12 @@ class QueueDiscipline(ABC):
     waiting requests (reported through ``station._shed``) before
     returning the next one to serve.
 
+    The waiting requests live in the deque ``_queue``, which a
+    discipline changes only in place and never rebinds: the station
+    keeps a reference to it from construction and reads the queue
+    length as ``len()`` of it.  ``len()``, iteration and ``in`` on the
+    discipline itself remain its public protocol.
+
     One discipline instance belongs to exactly one station.
     """
 

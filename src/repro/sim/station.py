@@ -121,6 +121,9 @@ class Station:
         self._failed = False
         self._discipline = discipline if discipline is not None else FIFODiscipline()
         self._discipline.bind(self)
+        # The discipline's waiting deque, changed only in place: len() of
+        # it is the queue length at C speed, with no Python-level call.
+        self._waiting = self._discipline._queue
         self._rng = sim.spawn_rng()
         # Service times are pre-sampled in geometrically growing blocks
         # (one vectorized draw instead of one Distribution.sample call
@@ -159,12 +162,12 @@ class Station:
     @property
     def queue_length(self) -> int:
         """Requests waiting (not in service)."""
-        return len(self._discipline)
+        return len(self._waiting)
 
     @property
     def in_system(self) -> int:
         """Requests waiting or in service."""
-        return self._busy + len(self._discipline)
+        return self._busy + len(self._waiting)
 
     @property
     def failed(self) -> bool:
@@ -218,7 +221,7 @@ class Station:
             return
         if not self._failed and self._busy < self._servers:
             self._start(request)
-        elif self.queue_capacity is None or len(self._discipline) < self.queue_capacity:
+        elif self.queue_capacity is None or len(self._waiting) < self.queue_capacity:
             self._discipline.push(request)
         else:
             self.drops += 1
@@ -331,7 +334,7 @@ class Station:
         dt = self.sim.now - self._last_change
         if dt > 0:
             self._busy_integral += dt * self._busy
-            self._queue_integral += dt * len(self._discipline)
+            self._queue_integral += dt * len(self._waiting)
             self._last_change = self.sim.now
 
     @property
@@ -397,5 +400,5 @@ class Station:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"Station(name={self.name!r}, servers={self._servers}, busy={self._busy}, "
-            f"queued={len(self._discipline)})"
+            f"queued={len(self._waiting)})"
         )

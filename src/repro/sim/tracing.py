@@ -1,10 +1,10 @@
 """Request-level metrics collection.
 
-:class:`RequestLog` accumulates completed requests into preallocated
-struct-of-arrays NumPy buffers (grow-by-doubling), so the per-request
-hot-path cost is one row write instead of retaining a Python object per
-request, and the columnar conversion in :meth:`RequestLog.breakdown` is
-pure vectorized arithmetic instead of an O(n) Python loop.
+:class:`RequestLog` appends each completed request as one row of floats
+to a single ``array('d')``, so the per-request hot-path cost is one
+``fromlist`` call instead of retaining a Python object per request, and
+the columnar conversion in :meth:`RequestLog.breakdown` is pure
+vectorized arithmetic instead of an O(n) Python loop.
 :class:`LatencyBreakdown` is the columnar view (one array per latency
 component) used by the stats and experiments layers.  The original
 :class:`~repro.sim.request.Request` objects are *not* retained;
@@ -16,6 +16,7 @@ per-request records.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,24 +76,23 @@ class LatencyBreakdown:
         return sorted(set(self.site.tolist()))
 
 
-# Column layout of RequestLog._data (float64).  Timestamps are stored
-# raw — the same five stamps a Request carries — so derived quantities
-# are computed with exactly the same IEEE operations as the Request
+# Row layout of RequestLog._rows (float64).  Timestamps are stored raw
+# — the same five stamps a Request carries — so derived quantities are
+# computed with exactly the same IEEE operations as the Request
 # properties, and a lazy Request view can be reconstructed faithfully.
 _CREATED, _ARRIVED, _START, _END, _COMPLETED, _SERVICE, _RID, _PRIORITY, _DEGRADED = range(9)
 _COLS = 9
-_INITIAL_CAPACITY = 256
 
 
 class RequestLog:
-    """Sink for completed requests (struct-of-arrays storage).
+    """Sink for completed requests (one flat row buffer).
 
-    ``add()`` writes one row into preallocated NumPy buffers that double
-    in capacity when full; ``breakdown()`` memoizes its columnar
-    conversion — summaries, reports and live telemetry all ask for the
-    same view repeatedly, and the cache is invalidated whenever the log
-    length changes, so interleaving ``add`` and ``breakdown`` (as
-    windowed telemetry does) always sees current data.
+    ``add()`` appends one row of nine floats to an ``array('d')`` and the
+    site to a list; ``breakdown()`` memoizes its columnar conversion —
+    summaries, reports and live telemetry all ask for the same view
+    repeatedly, and the cache is invalidated whenever the log length
+    changes, so interleaving ``add`` and ``breakdown`` (as windowed
+    telemetry does) always sees current data.
 
     :attr:`requests` rebuilds :class:`Request` views from the stored
     rows (also memoized per length).  The views carry every timestamp,
@@ -102,12 +102,11 @@ class RequestLog:
     defaults.
     """
 
-    __slots__ = ("_data", "_site", "_n", "_cache", "_cache_len", "_view", "_view_len")
+    __slots__ = ("_rows", "_sites", "_cache", "_cache_len", "_view", "_view_len")
 
     def __init__(self) -> None:
-        self._data = np.empty((_INITIAL_CAPACITY, _COLS))
-        self._site = np.empty(_INITIAL_CAPACITY, dtype=object)
-        self._n = 0
+        self._rows = array("d")
+        self._sites: list[str | None] = []
         self._cache: LatencyBreakdown | None = None
         self._cache_len = -1
         self._view: list[Request] | None = None
@@ -117,11 +116,10 @@ class RequestLog:
         """Record a completed request."""
         if not request.is_complete:
             raise ValueError(f"request {request.rid} has not completed")
-        i = self._n
-        if i == self._site.size:
-            self._grow()
         service = request.service_time
-        self._data[i] = (
+        # fromlist appends the whole row or, if a value fails to
+        # convert, nothing at all; the site follows only on success.
+        self._rows.fromlist([
             request.created,
             request.arrived,
             request.service_start,
@@ -131,38 +129,27 @@ class RequestLog:
             request.rid,
             request.priority,
             request.degraded,
-        )
-        self._site[i] = request.site
-        self._n = i + 1
-
-    def _grow(self) -> None:
-        capacity = 2 * self._site.size
-        data = np.empty((capacity, _COLS))
-        data[: self._n] = self._data[: self._n]
-        site = np.empty(capacity, dtype=object)
-        site[: self._n] = self._site[: self._n]
-        self._data = data
-        self._site = site
+        ])
+        self._sites.append(request.site)
 
     def __len__(self) -> int:
-        return self._n
+        return len(self._sites)
 
     @property
     def requests(self) -> list[Request]:
         """Lazy per-request views of the stored rows (cached per length)."""
-        n = self._n
+        n = len(self._sites)
         if self._view is not None and self._view_len == n:
             return self._view
         view: list[Request] = []
-        data = self._data
-        sites = self._site
-        for i in range(n):
+        values = self._rows.tolist()
+        for i, site in enumerate(self._sites):
             created, arrived, start, end, completed, service, rid, priority, degraded = (
-                data[i].tolist()
+                values[i * _COLS : (i + 1) * _COLS]
             )
             r = Request(
                 int(rid),
-                site=sites[i],
+                site=site,
                 created=created,
                 service_time=None if math.isnan(service) else service,
                 priority=int(priority),
@@ -179,16 +166,18 @@ class RequestLog:
 
     def breakdown(self) -> LatencyBreakdown:
         """Materialize the columnar latency view (cached per log length)."""
-        n = self._n
+        n = len(self._sites)
         if self._cache is not None and self._cache_len == n:
             return self._cache
-        data = self._data[:n]
+        # A copy, not np.frombuffer: a live view would pin the array's
+        # buffer, and the next add() would raise BufferError.
+        data = np.array(self._rows).reshape(n, _COLS)
         created = data[:, _CREATED].copy()
         e2e = data[:, _COMPLETED] - data[:, _CREATED]
         wait = data[:, _START] - data[:, _ARRIVED]
         service = data[:, _SERVICE].copy()
         network = e2e - (data[:, _END] - data[:, _ARRIVED])
-        site = self._site[:n].copy()
+        site = np.array(self._sites, dtype=object)
         self._cache = LatencyBreakdown(created, e2e, wait, service, network, site)
         self._cache_len = n
         return self._cache

@@ -24,9 +24,10 @@ class RequestTrace:
     Attributes
     ----------
     arrival_times:
-        Absolute, non-decreasing request timestamps in seconds.
+        Absolute, finite, non-decreasing request timestamps in seconds.
     service_times:
-        Optional per-request service demands (seconds), aligned.
+        Optional per-request service demands (seconds), aligned, finite
+        and non-negative.
     """
 
     arrival_times: np.ndarray
@@ -36,6 +37,8 @@ class RequestTrace:
         a = np.asarray(self.arrival_times, dtype=float)
         if a.ndim != 1:
             raise ValueError("arrival_times must be 1-D")
+        if not np.isfinite(a).all():
+            raise ValueError("arrival_times must be finite")
         if a.size > 1 and np.any(np.diff(a) < 0):
             raise ValueError("arrival_times must be non-decreasing")
         object.__setattr__(self, "arrival_times", a)
@@ -45,6 +48,8 @@ class RequestTrace:
                 raise ValueError(
                     f"service_times shape {s.shape} != arrival_times shape {a.shape}"
                 )
+            if not np.isfinite(s).all():
+                raise ValueError("service_times must be finite")
             if s.size and s.min() < 0:
                 raise ValueError("service_times must be non-negative")
             object.__setattr__(self, "service_times", s)

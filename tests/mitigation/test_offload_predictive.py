@@ -10,7 +10,7 @@ from repro.mitigation.predictive import PredictiveAutoscaler
 from repro.queueing.distributions import Exponential
 from repro.sim.client import OpenLoopSource
 from repro.sim.engine import Simulation
-from repro.sim.network import ConstantLatency
+from repro.sim.network import ConstantLatency, LossyLatency
 from repro.sim.runner import run_deployment
 from repro.sim.topology import EdgeDeployment, EdgeSite
 
@@ -73,6 +73,23 @@ class TestHybridDeployment:
         assert len(bd.for_site("cloud")) == pytest.approx(
             hybrid.offloaded, rel=0.3
         )
+
+    def test_lossy_link_loses_requests_on_the_way_out(self):
+        sim = Simulation(7)
+        hybrid = HybridDeployment(
+            sim, sites=1, servers_per_site=2, cloud_servers=4,
+            edge_latency=LossyLatency(ConstantLatency(0.001), loss_prob=0.5),
+            cloud_latency=ConstantLatency(0.02), service_dist=Exponential(0.05),
+        )
+        OpenLoopSource(sim, hybrid, Exponential(0.1), site="site-0", stop_time=100.0)
+        sim.run()
+        arrivals = sum(st.arrivals for st in hybrid.stations)
+        # Nothing is refused, so every served response is either logged
+        # or lost on the way back; the rest of ``lost`` never arrived.
+        lost_back = sum(st.completions for st in hybrid.stations) - len(hybrid.log)
+        lost_out = hybrid.lost - lost_back
+        assert lost_out > 0
+        assert arrivals + lost_out == hybrid.submitted
 
     def test_unknown_site_rejected(self):
         sim = Simulation(0)

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.mitigation.admission import AdaptiveAdmission, StaticConcurrencyLimit
-from repro.queueing.distributions import Deterministic
+from repro.queueing.distributions import Deterministic, Exponential
+from repro.sim.client import OpenLoopSource
 from repro.sim.engine import Simulation
 from repro.sim.network import ConstantLatency
 from repro.sim.overload import (
@@ -51,6 +52,42 @@ class TestDisciplinePlumbing:
         assert st.queue_length == 0
         sim.run()
         assert st.completions == 1
+
+
+class TestStationReadsTheWaitingLine:
+    @pytest.mark.parametrize(
+        "make_discipline",
+        [
+            FIFODiscipline,
+            lambda: AdaptiveLIFODiscipline(pressure_threshold=4),
+            lambda: CoDelDiscipline(target=0.2, interval=0.4),
+        ],
+        ids=["fifo", "adaptive-lifo", "codel"],
+    )
+    def test_queue_length_tracks_the_discipline(self, make_discipline):
+        # The station reads the discipline's deque directly; an
+        # overloaded run paused at many points must agree with the
+        # discipline's own len() every time, through LIFO pops and the
+        # sheds CoDel makes inside pop().
+        sim = Simulation(5)
+        site = EdgeSite(
+            sim, "s0", 1, ConstantLatency(0.001), Exponential(0.1),
+            discipline=make_discipline(),
+        )
+        edge = EdgeDeployment(sim, [site])
+        OpenLoopSource(sim, edge, Exponential(0.08), site="s0", stop_time=60.0)
+        st = site.station
+        lengths = []
+        for step in range(1, 161):
+            sim.run(until=0.5 * step)
+            assert st.queue_length == len(st.discipline)
+            assert st.in_system == st.busy + len(st.discipline)
+            lengths.append(st.queue_length)
+        assert max(lengths) > 4  # the line really built up
+        sim.run()
+        assert st.queue_length == len(st.discipline) == 0
+        if isinstance(st.discipline, CoDelDiscipline):
+            assert st.shed > 0
 
 
 class TestAdaptiveLIFO:

@@ -1,16 +1,19 @@
 """Tests for deployments, sources and request tracing."""
 
+import math
+
 import numpy as np
 import pytest
 
 from repro.mitigation.admission import OccupancyAdmission
 from repro.queueing.distributions import Deterministic, Exponential
 from repro.sim.client import OpenLoopSource, TraceSource
-from repro.sim.engine import Simulation
+from repro.sim.engine import EventBudgetExceeded, Simulation
 from repro.sim.loadbalancer import RoundRobin
 from repro.sim.network import ConstantLatency
 from repro.sim.request import Request
 from repro.sim.topology import CloudDeployment, EdgeDeployment, EdgeSite
+from repro.sim.tracing import RequestLog
 
 
 def build_edge(sim, n_sites=2, servers=1, rtt_ms=1.0, service=0.1):
@@ -204,8 +207,8 @@ class TestTraceSource:
         TraceSource(sim, cloud, [0.5, 1.5], [0.1, 0.2])
         sim.run()
         bd = cloud.log.breakdown()
-        np.testing.assert_allclose(sorted(bd.created), [0.5, 1.5])
-        np.testing.assert_allclose(sorted(bd.service), [0.1, 0.2])
+        assert sorted(bd.created) == [0.5, 1.5]
+        assert sorted(bd.service) == [0.1, 0.2]
 
     def test_rejects_decreasing_times(self):
         sim = Simulation(0)
@@ -224,6 +227,47 @@ class TestTraceSource:
         cloud = CloudDeployment(sim, servers=1, latency=ConstantLatency(0.0))
         with pytest.raises(ValueError):
             TraceSource(sim, cloud, [1.0], [-0.1])
+
+    @pytest.mark.parametrize(
+        "times, services",
+        [
+            ([0.0, math.inf], [0.1, 0.1]),
+            ([0.0, math.nan], [0.1, 0.1]),
+            ([0.0, 1.0], [0.1, math.nan]),
+            ([0.0, 1.0], [0.1, math.inf]),
+        ],
+        ids=["inf-arrival", "nan-arrival", "nan-service", "inf-service"],
+    )
+    def test_rejects_non_finite_input(self, times, services):
+        sim = Simulation(0)
+        cloud = CloudDeployment(sim, servers=1, latency=ConstantLatency(0.0))
+        with pytest.raises(ValueError, match="must be finite"):
+            TraceSource(sim, cloud, times, services)
+
+    def test_rejects_trace_starting_in_the_past(self):
+        sim = Simulation(0)
+        cloud = CloudDeployment(sim, servers=1, latency=ConstantLatency(0.0))
+        sim.run(until=2.0)
+        with pytest.raises(ValueError, match="starts in the past"):
+            TraceSource(sim, cloud, [1.0, 3.0])
+
+    def test_response_leg_is_an_event(self):
+        # Each replayed request costs exactly four events: the source
+        # firing, the arrival after the outbound leg, the service end and
+        # the completion after the return leg.  Eliding the return-leg
+        # event would drain the run within 3 * n events.
+        n = 50
+
+        def run(max_events):
+            sim = Simulation(0)
+            edge = build_edge(sim, n_sites=1)
+            TraceSource(sim, edge, np.arange(n) * 0.5, site="site-0")
+            sim.run(max_events=max_events)
+            return edge
+
+        assert len(run(4 * n).log) == n
+        with pytest.raises(EventBudgetExceeded):
+            run(4 * n - 1)
 
     def test_lazy_scheduling_keeps_calendar_small(self):
         # Regression: the source used to push the whole trace into the
@@ -276,8 +320,68 @@ class TestBreakdown:
         assert bd.sites == ["site-0", "site-1"]
 
     def test_incomplete_request_rejected_by_log(self):
-        from repro.sim.tracing import RequestLog
-
         log = RequestLog()
         with pytest.raises(ValueError):
             log.add(Request(0, created=0.0))
+
+
+def completed_request(rng, rid):
+    created = float(rng.uniform(0.0, 100.0))
+    r = Request(
+        rid,
+        site=f"site-{rid % 3}",
+        created=created,
+        service_time=None if rid % 7 == 0 else float(rng.exponential(0.1)),
+        priority=rid % 4,
+    )
+    r.arrived = created + float(rng.exponential(0.01))
+    r.service_start = r.arrived + float(rng.exponential(0.2))
+    r.service_end = r.service_start + float(rng.exponential(0.1))
+    r.completed = r.service_end + float(rng.exponential(0.01))
+    r.degraded = rid % 5 == 0
+    return r
+
+
+class TestRequestLog:
+    def test_round_trips_every_field_and_breakdown_is_exact(self):
+        rng = np.random.default_rng(11)
+        originals = [completed_request(rng, rid) for rid in range(1000)]
+        log = RequestLog()
+        for r in originals:
+            log.add(r)
+        assert len(log) == 1000
+        fields = (
+            "rid", "site", "created", "arrived", "service_start", "service_end",
+            "completed", "service_time", "priority", "degraded",
+        )
+        for view, r in zip(log.requests, originals):
+            assert [getattr(view, f) for f in fields] == [getattr(r, f) for f in fields]
+        bd = log.breakdown()
+        # Bit for bit: the columns are the Request properties themselves.
+        assert bd.created.tolist() == [r.created for r in originals]
+        assert bd.end_to_end.tolist() == [r.end_to_end for r in originals]
+        assert bd.wait.tolist() == [r.wait for r in originals]
+        assert bd.network.tolist() == [r.network_time for r in originals]
+        assert bd.site.tolist() == [r.site for r in originals]
+        service = bd.service.tolist()
+        assert [s for s in service if not math.isnan(s)] == [
+            r.service_time for r in originals if r.service_time is not None
+        ]
+        assert [math.isnan(s) for s in service] == [r.service_time is None for r in originals]
+
+    def test_failed_add_leaves_log_unchanged(self):
+        rng = np.random.default_rng(3)
+        good = [completed_request(rng, rid) for rid in range(10)]
+        log = RequestLog()
+        for r in good:
+            log.add(r)
+        bad = completed_request(rng, 10)
+        bad.priority = "urgent"  # not a number: the row cannot be stored
+        with pytest.raises((TypeError, ValueError)):
+            log.add(bad)
+        assert len(log) == 10
+        assert log.breakdown().end_to_end.tolist() == [r.end_to_end for r in good]
+        assert [v.rid for v in log.requests] == list(range(10))
+        log.add(completed_request(rng, 11))  # no half row left behind
+        assert log.breakdown().end_to_end.size == 11
+        assert [v.rid for v in log.requests] == [*range(10), 11]

@@ -1,5 +1,7 @@
 """Tests for the RequestTrace container."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -33,6 +35,16 @@ class TestConstruction:
     def test_rejects_misaligned_services(self):
         with pytest.raises(ValueError):
             RequestTrace(np.array([0.0, 1.0]), np.array([0.1]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_arrival(self, bad):
+        with pytest.raises(ValueError, match="arrival_times must be finite"):
+            RequestTrace(np.array([0.0, bad]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_service(self, bad):
+        with pytest.raises(ValueError, match="service_times must be finite"):
+            RequestTrace(np.array([0.0, 1.0]), np.array([0.1, bad]))
 
     def test_empty_trace(self):
         t = RequestTrace(np.empty(0))
