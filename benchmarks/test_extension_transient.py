@@ -34,7 +34,7 @@ def run_transient_prediction():
     _, predicted = predict_windowed_series(
         trace, MU, 1, WINDOW, rtt=0.001, horizon=HORIZON
     )
-    _, simulated = windowed_mean(sim.arrival, sim.end_to_end, WINDOW, horizon=HORIZON)
+    _, simulated = windowed_mean(sim.created, sim.end_to_end, WINDOW, horizon=HORIZON)
     valid = ~np.isnan(simulated)
     corr = float(np.corrcoef(predicted[valid], simulated[valid])[0, 1])
     rel_bias = float(

@@ -74,8 +74,8 @@ def main() -> None:
     print(f"  cloud : {summarize(cloud.end_to_end)}")
 
     # 4. Time series: how often does the edge invert? (Figure 9's view)
-    _, edge_series = windowed_mean(edge.arrival, edge.end_to_end, 60.0, horizon=DURATION)
-    _, cloud_series = windowed_mean(cloud.arrival, cloud.end_to_end, 60.0, horizon=DURATION)
+    _, edge_series = windowed_mean(edge.created, edge.end_to_end, 60.0, horizon=DURATION)
+    _, cloud_series = windowed_mean(cloud.created, cloud.end_to_end, 60.0, horizon=DURATION)
     valid = ~(np.isnan(edge_series) | np.isnan(cloud_series))
     inverted = (edge_series[valid] > cloud_series[valid]).mean()
     print(

@@ -16,7 +16,8 @@ from repro.core.comparator import ComparisonResult, EdgeCloudComparator
 from repro.core.scenarios import DISTANT_CLOUD, PAPER_SCENARIOS, Scenario, TYPICAL_CLOUD
 from repro.experiments.config import FAST, ExperimentConfig
 from repro.parallel.seeding import derive_seed
-from repro.sim.fastsim import SystemResult, simulate_edge_system, simulate_single_queue_system
+from repro.sim.fastsim import simulate_edge_system, simulate_single_queue_system
+from repro.sim.tracing import LatencyBreakdown
 from repro.stats.summary import LatencySummary, summarize
 from repro.stats.timeseries import windowed_mean
 from repro.workload.azure import AzureTraceConfig, generate_azure_workload, group_functions_into_sites
@@ -233,8 +234,8 @@ class AzureExperiment:
     """Shared state of the Azure-trace experiments (Figs 8–10)."""
 
     site_traces: list[RequestTrace]
-    edge: SystemResult
-    cloud: SystemResult
+    edge: LatencyBreakdown
+    cloud: LatencyBreakdown
     scenario: Scenario
     window: float
 
@@ -358,10 +359,10 @@ def fig9_azure_latency(config: ExperimentConfig = FAST) -> Fig9Result:
     exp = _azure_experiment(config)
     horizon = config.azure_duration
     starts, edge_mean = windowed_mean(
-        exp.edge.arrival, exp.edge.end_to_end, exp.window, horizon=horizon
+        exp.edge.created, exp.edge.end_to_end, exp.window, horizon=horizon
     )
     _, cloud_mean = windowed_mean(
-        exp.cloud.arrival, exp.cloud.end_to_end, exp.window, horizon=horizon
+        exp.cloud.created, exp.cloud.end_to_end, exp.window, horizon=horizon
     )
     return Fig9Result(window_starts=starts, edge_mean=edge_mean, cloud_mean=cloud_mean)
 

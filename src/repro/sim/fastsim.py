@@ -13,25 +13,30 @@ paper's actual topologies: k independent edge sites
 (:func:`simulate_edge_system`), the cloud central queue
 (:func:`simulate_single_queue_system`), and the cloud behind a
 round-robin or join-shortest-queue load balancer
-(:func:`simulate_lb_system`).  The engine and these paths are
-cross-validated in the integration tests; both must agree with exact
-M/M/k theory.
+(:func:`simulate_lb_system`).  Each returns the event engine's
+:class:`~repro.sim.tracing.LatencyBreakdown`, with integer site indices
+where the engine stores station names, and every topology carries its
+requests over the network through one path, ``_through_network``.  The
+engine and these paths are cross-validated in the integration tests;
+both must agree with exact M/M/k theory.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections.abc import Callable
+from functools import partial
 
 import numpy as np
 
 from repro.sim.network import ConstantLatency, LatencyModel
+from repro.sim.tracing import LatencyBreakdown
 
 __all__ = [
     "simulate_fcfs_queue",
     "simulate_single_queue_system",
     "simulate_lb_system",
     "simulate_edge_system",
-    "SystemResult",
 ]
 
 
@@ -112,53 +117,51 @@ def _lindley_single(a: np.ndarray, s: np.ndarray) -> np.ndarray:
     return np.asarray(waits)
 
 
-class SystemResult:
-    """End-to-end latencies of one simulated deployment.
+def _legs(latency: LatencyModel, rng: np.random.Generator, n: int):
+    """Outbound and return one-way legs for ``n`` requests.
 
-    Attributes
-    ----------
-    end_to_end:
-        Total latency per request (network + wait + service), seconds.
-    wait:
-        Queueing delay per request.
-    service:
-        Service time per request.
-    network:
-        Round-trip network time per request.
-    site:
-        Integer site index per request (0 for a cloud deployment).
-    arrival:
-        Request creation time (client clock).
+    A constant model gives two scalars and draws nothing; any other
+    model gives two sampled arrays, the outbound one drawn first.
     """
+    if isinstance(latency, ConstantLatency):
+        half = latency.mean_rtt / 2.0
+        return half, half
+    return latency.sample_oneway_batch(rng, n), latency.sample_oneway_batch(rng, n)
 
-    __slots__ = ("end_to_end", "wait", "service", "network", "site", "arrival")
 
-    def __init__(self, end_to_end, wait, service, network, site, arrival):
-        self.end_to_end = end_to_end
-        self.wait = wait
-        self.service = service
-        self.network = network
-        self.site = site
-        self.arrival = arrival
+def _through_network(
+    a: np.ndarray, s: np.ndarray, out: float | np.ndarray, back: float | np.ndarray,
+    queue: Callable[[np.ndarray, np.ndarray], np.ndarray],
+) -> LatencyBreakdown:
+    """Send requests created at ``a`` over ``out``, queue them, return over ``back``.
 
-    def __len__(self) -> int:
-        return self.end_to_end.size
-
-    def after(self, t: float) -> "SystemResult":
-        """Subset of requests created at or after ``t`` (warm-up trim)."""
-        m = self.arrival >= t
-        return SystemResult(
-            self.end_to_end[m], self.wait[m], self.service[m],
-            self.network[m], self.site[m], self.arrival[m],
-        )
-
-    def for_site(self, site: int) -> "SystemResult":
-        """Subset of requests served at integer site index ``site``."""
-        m = self.site == site
-        return SystemResult(
-            self.end_to_end[m], self.wait[m], self.service[m],
-            self.network[m], self.site[m], self.arrival[m],
-        )
+    ``queue(arrivals, services)`` returns the waits of requests handed
+    to it in queue-arrival order.  A scalar ``out`` is a constant leg,
+    which keeps the creation order; an array ``out`` is stable-sorted by
+    queue-arrival time and the waits are mapped back to creation order.
+    Every request is labelled site 0.
+    """
+    a = np.asarray(a, dtype=float)
+    s = np.asarray(s, dtype=float)
+    if a.ndim != 1 or a.shape != s.shape:
+        raise ValueError("arrival_times and service_times must be aligned 1-D arrays")
+    at_queue = a + out
+    if np.ndim(out) == 0:
+        wait = queue(at_queue, s)
+        network = np.full(a.size, out + back)
+    else:
+        order = np.argsort(at_queue, kind="stable")
+        wait = np.empty(a.size)
+        wait[order] = queue(at_queue[order], s[order])
+        network = out + back
+    return LatencyBreakdown(
+        created=a,
+        end_to_end=network + wait + s,
+        wait=wait,
+        service=s,
+        network=network,
+        site=np.zeros(a.size, dtype=np.int64),
+    )
 
 
 def simulate_single_queue_system(
@@ -167,7 +170,7 @@ def simulate_single_queue_system(
     servers: int,
     latency: LatencyModel,
     rng: np.random.Generator | None = None,
-) -> SystemResult:
+) -> LatencyBreakdown:
     """Simulate a cloud-style deployment: one central queue of ``servers``.
 
     Network legs shift each request's arrival at the queue; FCFS order at
@@ -175,27 +178,22 @@ def simulate_single_queue_system(
     model the order is unchanged, matching the paper's setup).
     """
     rng = np.random.default_rng(0) if rng is None else rng
-    a = np.asarray(arrival_times, dtype=float)
-    s = np.asarray(service_times, dtype=float)
+    out, back = _legs(latency, rng, np.size(arrival_times))
+    return _through_network(
+        arrival_times, service_times, out, back, partial(simulate_fcfs_queue, servers=servers)
+    )
 
-    if isinstance(latency, ConstantLatency):
-        rtts = np.full(a.size, latency.mean_rtt)
-        shifted = a + rtts / 2.0
-    else:
-        legs_out = latency.sample_oneway_batch(rng, a.size)
-        legs_back = latency.sample_oneway_batch(rng, a.size)
-        rtts = legs_out + legs_back
-        shifted = a + legs_out
-        order = np.argsort(shifted, kind="stable")
-        inverse = np.empty_like(order)
-        inverse[order] = np.arange(order.size)
-        waits = simulate_fcfs_queue(shifted[order], s[order], servers)[inverse]
-        e2e = rtts + waits + s
-        return SystemResult(e2e, waits, s, rtts, np.zeros(a.size, dtype=np.int64), a)
 
-    waits = simulate_fcfs_queue(shifted, s, servers)
-    e2e = rtts + waits + s
-    return SystemResult(e2e, waits, s, rtts, np.zeros(a.size, dtype=np.int64), a)
+def _round_robin_waits(
+    a: np.ndarray, s: np.ndarray, backends: int, servers_per_backend: int
+) -> np.ndarray:
+    """Waiting times when request ``i`` joins FCFS backend ``i % backends``."""
+    waits = np.empty(a.size)
+    for b in range(backends):
+        waits[b::backends] = simulate_fcfs_queue(
+            a[b::backends], s[b::backends], servers_per_backend
+        )
+    return waits
 
 
 def _jsq_waits(
@@ -264,7 +262,7 @@ def simulate_lb_system(
     *,
     policy: str = "round-robin",
     backends: int | None = None,
-) -> SystemResult:
+) -> LatencyBreakdown:
     """Simulate a cloud deployment behind a load balancer.
 
     The paper's real cloud runs HAProxy in front of ``backends`` server
@@ -287,10 +285,6 @@ def simulate_lb_system(
         Backend count (default: one backend per server).
     """
     rng = np.random.default_rng(0) if rng is None else rng
-    a = np.asarray(arrival_times, dtype=float)
-    s = np.asarray(service_times, dtype=float)
-    if a.ndim != 1 or a.shape != s.shape:
-        raise ValueError("arrival_times and service_times must be aligned 1-D arrays")
     if policy not in ("round-robin", "jsq"):
         raise ValueError(f"policy must be 'round-robin' or 'jsq', got {policy!r}")
     if backends is None:
@@ -300,39 +294,13 @@ def simulate_lb_system(
     if servers % backends != 0:
         raise ValueError(f"servers ({servers}) must divide evenly among {backends} backends")
     per_backend = servers // backends
-    n = a.size
-    if n == 0:
-        empty = np.empty(0)
-        return SystemResult(empty, empty, empty, empty, np.empty(0, dtype=np.int64), empty)
 
-    if isinstance(latency, ConstantLatency):
-        rtts = np.full(n, latency.mean_rtt)
-        at_lb = a + latency.mean_rtt / 2.0
-        order = None
-    else:
-        legs_out = latency.sample_oneway_batch(rng, n)
-        legs_back = latency.sample_oneway_batch(rng, n)
-        rtts = legs_out + legs_back
-        at_lb = a + legs_out
-        order = np.argsort(at_lb, kind="stable")
-        at_lb = at_lb[order]
-
-    dispatch_s = s if order is None else s[order]
     if policy == "round-robin":
-        waits = np.empty(n)
-        for b in range(backends):
-            waits[b::backends] = simulate_fcfs_queue(
-                at_lb[b::backends], dispatch_s[b::backends], per_backend
-            )
+        queue = partial(_round_robin_waits, backends=backends, servers_per_backend=per_backend)
     else:
-        waits = _jsq_waits(at_lb, dispatch_s, backends, per_backend, rng)
-
-    if order is not None:
-        inverse = np.empty_like(order)
-        inverse[order] = np.arange(order.size)
-        waits = waits[inverse]
-    e2e = rtts + waits + s
-    return SystemResult(e2e, waits, s, rtts, np.zeros(n, dtype=np.int64), a)
+        queue = partial(_jsq_waits, backends=backends, servers_per_backend=per_backend, rng=rng)
+    out, back = _legs(latency, rng, np.size(arrival_times))
+    return _through_network(arrival_times, service_times, out, back, queue)
 
 
 def simulate_edge_system(
@@ -341,7 +309,7 @@ def simulate_edge_system(
     servers_per_site: int,
     latency: LatencyModel,
     rng: np.random.Generator | None = None,
-) -> SystemResult:
+) -> LatencyBreakdown:
     """Simulate an edge deployment: one independent queue per site.
 
     Parameters
@@ -357,7 +325,7 @@ def simulate_edge_system(
 
     Returns
     -------
-    SystemResult
+    LatencyBreakdown
         Concatenation over sites, with ``site`` recording the index.
     """
     if len(site_arrivals) != len(site_services) or not site_arrivals:
@@ -365,14 +333,7 @@ def simulate_edge_system(
     rng = np.random.default_rng(0) if rng is None else rng
     parts = []
     for idx, (a, s) in enumerate(zip(site_arrivals, site_services, strict=True)):
-        res = simulate_single_queue_system(a, s, servers_per_site, latency, rng)
-        res.site[:] = idx
-        parts.append(res)
-    return SystemResult(
-        np.concatenate([p.end_to_end for p in parts]),
-        np.concatenate([p.wait for p in parts]),
-        np.concatenate([p.service for p in parts]),
-        np.concatenate([p.network for p in parts]),
-        np.concatenate([p.site for p in parts]),
-        np.concatenate([p.arrival for p in parts]),
-    )
+        part = simulate_single_queue_system(a, s, servers_per_site, latency, rng)
+        part.site[:] = idx
+        parts.append(part)
+    return LatencyBreakdown.concat(parts)

@@ -20,11 +20,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from collections.abc import Sequence
+from functools import partial
 
 import numpy as np
 
 from repro.queueing.distributions import Distribution
-from repro.sim.fastsim import SystemResult, simulate_fcfs_queue
+from repro.sim.fastsim import _through_network, simulate_fcfs_queue
+from repro.sim.tracing import LatencyBreakdown
 
 __all__ = ["Region", "GeoComparison", "simulate_geo_comparison"]
 
@@ -67,8 +69,8 @@ class GeoComparison:
     """Per-region edge and cloud latency results."""
 
     regions: tuple[Region, ...]
-    edge: SystemResult  # site == region index
-    cloud: SystemResult  # site == region index of the requester
+    edge: LatencyBreakdown  # site == region index
+    cloud: LatencyBreakdown  # site == region index of the requester
 
     def region_means(self) -> list[tuple[str, float, float]]:
         """Per-region ``(name, edge_mean, cloud_mean)`` in seconds."""
@@ -122,9 +124,12 @@ def simulate_geo_comparison(
         raise ValueError(f"total_rate must be > 0, got {total_rate}")
     if servers_per_site < 1:
         raise ValueError(f"servers_per_site must be >= 1, got {servers_per_site}")
+    if not 0.0 <= warmup_fraction < 1.0:
+        raise ValueError(f"warmup_fraction must be in [0, 1), got {warmup_fraction}")
+    for region in regions:
+        if not region.weight > 0:
+            raise ValueError(f"region {region.name!r} needs weight > 0, got {region.weight}")
     weights = np.array([r.weight for r in regions], dtype=float)
-    if weights.sum() <= 0:
-        raise ValueError("region weights must have positive sum")
     weights = weights / weights.sum()
     rng = np.random.default_rng(seed)
 
@@ -140,58 +145,35 @@ def simulate_geo_comparison(
         n = int(per_region_n[i])
         arrivals.append(np.cumsum(rng.exponential(1.0 / rate, n)))
         services.append(np.asarray(service.sample(rng, n), dtype=float))
-
-    # Edge: one independent queue per region, its own RTT.
-    edge_parts = []
-    for i, region in enumerate(regions):
-        waits = simulate_fcfs_queue(arrivals[i], services[i], servers_per_site)
-        rtts = np.full(arrivals[i].size, region.edge_rtt)
-        edge_parts.append(
-            SystemResult(
-                rtts + waits + services[i],
-                waits,
-                services[i],
-                rtts,
-                np.full(arrivals[i].size, i, dtype=np.int64),
-                arrivals[i],
-            )
-        )
-
-    # Cloud: merged stream through one pooled queue; RTT depends on the
-    # request's origin region (shifts queue-arrival order accordingly).
-    all_arr = np.concatenate(arrivals)
-    all_srv = np.concatenate(services)
     all_region = np.concatenate(
         [np.full(a.size, i, dtype=np.int64) for i, a in enumerate(arrivals)]
     )
+
+    # Edge: one independent queue per region, its own RTT.  The whole
+    # RTT rides on the return leg: a constant outbound shift would leave
+    # the waits unchanged in exact arithmetic but move their last bits,
+    # so the edge queues on the send times.
+    per_site = partial(simulate_fcfs_queue, servers=servers_per_site)
+    edge = LatencyBreakdown.concat([
+        _through_network(a, s, 0.0, region.edge_rtt, per_site)
+        for a, s, region in zip(arrivals, services, regions, strict=True)
+    ])
+    edge.site[:] = all_region
+
+    # Cloud: merged stream through one pooled queue; RTT depends on the
+    # request's origin region (shifts queue-arrival order accordingly).
     oneway = np.array([r.cloud_rtt for r in regions])[all_region] / 2.0
-    at_queue = all_arr + oneway
-    order = np.argsort(at_queue, kind="stable")
-    inverse = np.empty_like(order)
-    inverse[order] = np.arange(order.size)
-    cloud_waits = simulate_fcfs_queue(
-        at_queue[order], all_srv[order], k * servers_per_site
-    )[inverse]
-    cloud_rtts = 2.0 * oneway
-    cloud = SystemResult(
-        cloud_rtts + cloud_waits + all_srv,
-        cloud_waits,
-        all_srv,
-        cloud_rtts,
-        all_region,
-        all_arr,
+    cloud = _through_network(
+        np.concatenate(arrivals),
+        np.concatenate(services),
+        oneway,
+        oneway,
+        partial(simulate_fcfs_queue, servers=k * servers_per_site),
     )
+    cloud.site[:] = all_region
 
     horizon = min(float(a[-1]) for a in arrivals)
     cut = warmup_fraction * horizon
-    edge = SystemResult(
-        np.concatenate([p.end_to_end for p in edge_parts]),
-        np.concatenate([p.wait for p in edge_parts]),
-        np.concatenate([p.service for p in edge_parts]),
-        np.concatenate([p.network for p in edge_parts]),
-        np.concatenate([p.site for p in edge_parts]),
-        np.concatenate([p.arrival for p in edge_parts]),
-    )
     return GeoComparison(
         regions=regions, edge=edge.after(cut), cloud=cloud.after(cut)
     )

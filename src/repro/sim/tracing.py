@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -30,7 +30,10 @@ __all__ = ["RequestLog", "LatencyBreakdown"]
 class LatencyBreakdown:
     """Columnar latency components for a set of completed requests.
 
-    All arrays are aligned (same order, same length) and in seconds.
+    The one per-request latency record of both engines: the event
+    engine's :meth:`RequestLog.breakdown` and every
+    :mod:`repro.sim.fastsim` topology return it.  All arrays are
+    aligned (same order, same length) and in seconds.
     """
 
     created: np.ndarray
@@ -38,41 +41,37 @@ class LatencyBreakdown:
     wait: np.ndarray
     service: np.ndarray
     network: np.ndarray
-    site: np.ndarray  # dtype=object (site names), aligned with the rest
+    # Where each request was served: station names (dtype=object) on
+    # the event engine, integer site indices on fastsim.
+    site: np.ndarray
 
     def __len__(self) -> int:
         return self.end_to_end.size
+
+    @classmethod
+    def concat(cls, parts: list["LatencyBreakdown"]) -> "LatencyBreakdown":
+        """Join records end to end, column by column, in ``parts`` order."""
+        return cls(**{
+            f.name: np.concatenate([getattr(p, f.name) for p in parts]) for f in fields(cls)
+        })
+
+    def _subset(self, mask: np.ndarray) -> "LatencyBreakdown":
+        return LatencyBreakdown(**{f.name: getattr(self, f.name)[mask] for f in fields(self)})
 
     def after(self, t: float) -> "LatencyBreakdown":
         """Return the subset of requests created at or after time ``t``.
 
         Used to trim warm-up transients before computing statistics.
         """
-        mask = self.created >= t
-        return LatencyBreakdown(
-            created=self.created[mask],
-            end_to_end=self.end_to_end[mask],
-            wait=self.wait[mask],
-            service=self.service[mask],
-            network=self.network[mask],
-            site=self.site[mask],
-        )
+        return self._subset(self.created >= t)
 
-    def for_site(self, site: str) -> "LatencyBreakdown":
+    def for_site(self, site: str | int) -> "LatencyBreakdown":
         """Return the subset of requests served by ``site``."""
-        mask = self.site == site
-        return LatencyBreakdown(
-            created=self.created[mask],
-            end_to_end=self.end_to_end[mask],
-            wait=self.wait[mask],
-            service=self.service[mask],
-            network=self.network[mask],
-            site=self.site[mask],
-        )
+        return self._subset(self.site == site)
 
     @property
-    def sites(self) -> list[str]:
-        """Distinct site names present, sorted."""
+    def sites(self) -> list[str] | list[int]:
+        """Distinct site labels present, sorted."""
         return sorted(set(self.site.tolist()))
 
 

@@ -99,11 +99,14 @@ class RequestTrace:
     def windowed_rates(self, window: float, horizon: float | None = None):
         """Per-window request rates (req/s) over ``[0, horizon)``.
 
-        Returns ``(window_starts, rates)``; the Figure 8 series.
+        ``horizon`` defaults to the last arrival, and to 0 for an empty
+        trace.  Returns ``(window_starts, rates)``; the Figure 8 series.
         """
         if window <= 0:
             raise ValueError(f"window must be > 0, got {window}")
-        end = float(self.arrival_times[-1]) if horizon is None else float(horizon)
+        if horizon is None:
+            horizon = self.arrival_times[-1] if len(self) else 0.0
+        end = float(horizon)
         if end <= 0:
             return np.empty(0), np.empty(0)
         edges = np.arange(0.0, end + window, window)

@@ -72,7 +72,7 @@ class TestPredictedSeries:
         # Simulated windowed means.
         from repro.stats.timeseries import windowed_mean
 
-        _, simulated = windowed_mean(sim.arrival, sim.end_to_end, window, horizon=horizon)
+        _, simulated = windowed_mean(sim.created, sim.end_to_end, window, horizon=horizon)
         valid = ~np.isnan(simulated)
         # Correlation between predicted and simulated series is strong.
         corr = np.corrcoef(predicted[valid], simulated[valid])[0, 1]

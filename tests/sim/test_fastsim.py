@@ -5,14 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.queueing.distributions import Exponential
 from repro.queueing.mm1 import MM1
 from repro.queueing.mmk import MMk
 from repro.sim.fastsim import (
     simulate_edge_system,
     simulate_fcfs_queue,
+    simulate_lb_system,
     simulate_single_queue_system,
 )
+from repro.sim.geo import Region, simulate_geo_comparison
 from repro.sim.network import ConstantLatency, NormalJitterLatency
+from repro.sim.runner import run_deployment
+from repro.sim.tracing import LatencyBreakdown
 
 
 def poisson_workload(rate, mu, n, seed):
@@ -120,7 +125,12 @@ class TestSystems:
         sites_s = [np.array([0.1, 0.1]), np.array([0.2])]
         res = simulate_edge_system(sites_a, sites_s, 1, ConstantLatency.from_ms(1.0))
         assert len(res) == 3
-        assert set(res.site.tolist()) == {0, 1}
+        np.testing.assert_array_equal(res.created, [0.0, 1.0, 0.5])
+        np.testing.assert_array_equal(res.end_to_end, [0.101, 0.101, 0.201])
+        np.testing.assert_array_equal(res.wait, [0.0, 0.0, 0.0])
+        np.testing.assert_array_equal(res.service, [0.1, 0.1, 0.2])
+        np.testing.assert_array_equal(res.network, [0.001, 0.001, 0.001])
+        np.testing.assert_array_equal(res.site, [0, 0, 1])
         assert len(res.for_site(0)) == 2
 
     def test_edge_system_rejects_mismatch(self):
@@ -146,3 +156,53 @@ class TestSystems:
             merged[order], np.concatenate(site_s)[order], k, ConstantLatency(0.0)
         )
         assert cloud.wait.mean() < edge.wait.mean()
+
+
+class TestOneRecord:
+    def test_every_engine_returns_latency_breakdown(self):
+        """fastsim, geo and the event engine share one latency record."""
+        a = np.array([0.0, 0.5, 1.0])
+        s = np.array([0.1, 0.2, 0.1])
+        latency = ConstantLatency.from_ms(24.0)
+        geo = simulate_geo_comparison(
+            [Region("a", weight=1.0, edge_rtt=0.001, cloud_rtt=0.02)],
+            10.0, Exponential(0.05), 1, n_per_region_unit=200,
+        )
+        records = [
+            simulate_single_queue_system(a, s, 2, latency),
+            simulate_lb_system(a, s, 2, latency, policy="jsq", backends=2),
+            simulate_edge_system([a], [s], 1, latency),
+            geo.edge,
+            geo.cloud,
+            run_deployment(
+                "edge", sites=1, servers_per_site=1, rate_per_site=5.0,
+                service_dist=Exponential(0.05), latency=latency, duration=20.0,
+            ),
+        ]
+        for record in records:
+            assert type(record) is LatencyBreakdown
+            assert len(record) > 0
+
+    @pytest.mark.parametrize("rtt_ms", [1.0, 24.0, 54.0])
+    def test_constant_latency_shortcut_is_exact(self, rtt_ms):
+        """A constant model skips the sort, yet matches zero-jitter sampled legs.
+
+        JSQ is left out: sampling the legs moves its tie-break stream.
+        """
+        a, s = poisson_workload(400.0, 13.0, 20_000, seed=6)
+
+        def central(latency):
+            return simulate_single_queue_system(a, s, 40, latency, np.random.default_rng(1))
+
+        def round_robin(latency):
+            return simulate_lb_system(
+                a, s, 40, latency, np.random.default_rng(1), backends=5
+            )
+
+        for run in (central, round_robin):
+            constant = run(ConstantLatency.from_ms(rtt_ms))
+            sampled = run(NormalJitterLatency.from_ms(rtt_ms, 0.0))
+            for column in ("wait", "network", "end_to_end"):
+                np.testing.assert_array_equal(
+                    getattr(constant, column), getattr(sampled, column)
+                )

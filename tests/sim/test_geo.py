@@ -88,3 +88,20 @@ class TestGeoComparison:
         ]
         with pytest.raises(ValueError):
             simulate_geo_comparison(zero_w, 10.0, SERVICE, 1)
+
+    def test_rejects_a_zero_weight_region(self):
+        """A region without demand gets no workload to simulate."""
+        regions = [
+            Region("a", weight=1.0, edge_rtt=0.001, cloud_rtt=0.02),
+            Region("b", weight=0.0, edge_rtt=0.001, cloud_rtt=0.05),
+        ]
+        with pytest.raises(ValueError, match="'b'"):
+            simulate_geo_comparison(regions, 10.0, SERVICE, 2, n_per_region_unit=1_000)
+
+    @pytest.mark.parametrize("fraction", [-0.5, 1.0, 1.5])
+    def test_rejects_warmup_fraction_outside_unit_interval(self, fraction):
+        with pytest.raises(ValueError, match="warmup_fraction"):
+            simulate_geo_comparison(
+                three_regions(), 10.0, SERVICE, 2,
+                n_per_region_unit=1_000, warmup_fraction=fraction,
+            )

@@ -86,6 +86,10 @@ class TestOperations:
         np.testing.assert_allclose(starts, [0.0, 1.0, 2.0])
         np.testing.assert_allclose(rates, [2.0, 1.0, 3.0])
 
+    def test_windowed_rates_of_empty_trace(self):
+        starts, rates = RequestTrace(np.empty(0)).windowed_rates(1.0)
+        assert starts.size == 0 and rates.size == 0
+
     def test_windowed_rates_invalid_window(self):
         with pytest.raises(ValueError):
             make_trace().windowed_rates(0.0)
