@@ -10,13 +10,14 @@ Two execution paths are provided:
 * :mod:`repro.sim.engine` + friends — a full event-calendar simulator
   with per-request tracing, load-balancer policies, redirection hooks
   (for geographic load balancing) and dynamic capacity changes.
-* :mod:`repro.sim.fastsim` — a vectorized Kiefer–Wolfowitz recursion for
-  FCFS G/G/c queues, about 20× faster per simulated request (perfbench
-  ``sim_req_per_s``: ≈2.2M req/s on the ``fig7`` workload against ≈114k
-  on ``fig7-des``, one placement of that sweep through the event engine;
-  medians of ten 20 s runs each on a 2-vCPU Xeon); the test suite
-  cross-validates the two paths against each other and against exact
-  M/M/k theory.
+* :mod:`repro.sim.fastsim` — the Kiefer–Wolfowitz recursion for FCFS
+  G/G/c queues, which skips the requests that find a free server in
+  NumPy, about 27× faster per simulated request (perfbench
+  ``sim_req_per_s``: ≈3.70M req/s on the ``fig7`` workload against
+  ≈139k on ``fig7-des``, three points of one placement of that sweep
+  through the event engine; medians of ten and three 20 s runs on a
+  2-vCPU Xeon); the test suite cross-validates the two paths against
+  each other and against exact M/M/k theory.
 """
 
 from repro.sim.batching import BatchingStation, affine_batch_time

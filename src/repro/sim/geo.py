@@ -18,6 +18,7 @@ heterogeneous comparison runnable:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from collections.abc import Sequence
 from functools import partial
@@ -53,10 +54,10 @@ class Region:
     cloud_rtt: float
 
     def __post_init__(self):
-        if self.weight < 0:
-            raise ValueError(f"weight must be >= 0, got {self.weight}")
-        if self.edge_rtt < 0 or self.cloud_rtt < 0:
-            raise ValueError("RTTs must be >= 0")
+        if not (math.isfinite(self.weight) and self.weight >= 0):
+            raise ValueError(f"weight must be finite and >= 0, got {self.weight}")
+        if not all(math.isfinite(r) and r >= 0 for r in (self.edge_rtt, self.cloud_rtt)):
+            raise ValueError("RTTs must be finite and >= 0")
         if self.cloud_rtt <= self.edge_rtt:
             raise ValueError(
                 f"region {self.name!r}: cloud RTT ({self.cloud_rtt}) must exceed "
@@ -124,6 +125,8 @@ def simulate_geo_comparison(
         raise ValueError(f"total_rate must be > 0, got {total_rate}")
     if servers_per_site < 1:
         raise ValueError(f"servers_per_site must be >= 1, got {servers_per_site}")
+    if n_per_region_unit < 1:
+        raise ValueError(f"n_per_region_unit must be >= 1, got {n_per_region_unit}")
     if not 0.0 <= warmup_fraction < 1.0:
         raise ValueError(f"warmup_fraction must be in [0, 1), got {warmup_fraction}")
     for region in regions:

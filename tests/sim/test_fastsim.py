@@ -1,5 +1,8 @@
 """Tests for the vectorized Kiefer-Wolfowitz fast path."""
 
+import heapq
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +11,7 @@ from hypothesis import strategies as st
 from repro.queueing.distributions import Exponential
 from repro.queueing.mm1 import MM1
 from repro.queueing.mmk import MMk
+from repro.sim import fastsim
 from repro.sim.fastsim import (
     simulate_edge_system,
     simulate_fcfs_queue,
@@ -25,6 +29,34 @@ def poisson_workload(rate, mu, n, seed):
     arrivals = np.cumsum(rng.exponential(1.0 / rate, n))
     services = rng.exponential(1.0 / mu, n)
     return arrivals, services
+
+
+def heap_loop_waits(a, s, servers):
+    """The Kiefer-Wolfowitz heap loop, one request at a time: the reference."""
+    free = [0.0] * servers
+    arrivals = np.asarray(a, dtype=float).tolist()
+    services = np.asarray(s, dtype=float).tolist()
+    waits = [0.0] * len(arrivals)
+    for i, ai in enumerate(arrivals):
+        t = free[0]
+        start = t if t > ai else ai
+        waits[i] = start - ai
+        heapq.heapreplace(free, start + services[i])
+    return np.asarray(waits, dtype=float)
+
+
+def gg_workload(arrivals, rho, servers, n, seed, mu=13.0):
+    """``n`` exponential services at rate ``mu`` behind ``arrivals``
+    interarrival times (Poisson, deterministic, or bursty with cv² = 4)
+    scaled to utilization ``rho``."""
+    rng = np.random.default_rng(seed)
+    rate = rho * servers * mu
+    gaps = {
+        "poisson": lambda: rng.exponential(1.0 / rate, n),
+        "deterministic": lambda: np.full(n, 1.0 / rate),
+        "bursty": lambda: rng.gamma(0.25, 4.0 / rate, n),
+    }[arrivals]()
+    return np.cumsum(gaps), rng.exponential(1.0 / mu, n)
 
 
 class TestFcfsQueue:
@@ -66,6 +98,13 @@ class TestFcfsQueue:
             simulate_fcfs_queue(np.array([0.0]), np.array([1.0]), 0)
         with pytest.raises(ValueError):
             simulate_fcfs_queue(np.array([0.0, 1.0]), np.array([1.0]), 1)
+        # NaN passes the ordering and sign checks, so it needs a check of its own
+        for servers in (1, 2):
+            for bad in (np.nan, np.inf, -np.inf):
+                with pytest.raises(ValueError, match="finite"):
+                    simulate_fcfs_queue(np.array([0.0, bad, 2.0]), np.ones(3), servers)
+                with pytest.raises(ValueError, match="finite"):
+                    simulate_fcfs_queue(np.arange(3.0), np.array([1.0, 1.0, bad]), servers)
 
     @given(
         n=st.integers(min_value=1, max_value=200),
@@ -91,18 +130,84 @@ class TestFcfsQueue:
         a = np.cumsum(rng.exponential(0.1, n))
         s = rng.exponential(0.09, n)
         lindley = simulate_fcfs_queue(a, s, 1)
-        # Force the heap path by asking for 2 servers over a thinned
-        # sequence is not equivalent; instead replicate the heap manually.
-        import heapq
+        np.testing.assert_allclose(lindley, heap_loop_waits(a, s, 1), atol=1e-12)
 
-        free = [0.0]
-        expected = np.empty(n)
-        for i in range(n):
-            t = heapq.heappop(free)
-            start = max(t, a[i])
-            expected[i] = start - a[i]
-            heapq.heappush(free, start + s[i])
-        np.testing.assert_allclose(lindley, expected, atol=1e-12)
+
+class TestNoWaitFastForward:
+    """The NumPy fast-forward leaves every wait the heap loop computes unchanged."""
+
+    @pytest.mark.parametrize("servers", [2, 8, 40])
+    @pytest.mark.parametrize("arrivals", ["poisson", "deterministic", "bursty"])
+    @pytest.mark.parametrize("rho", [0.1, 0.3, 0.5, 0.7, 0.85, 0.99])
+    def test_matches_the_heap_loop_bit_for_bit(self, servers, arrivals, rho):
+        a, s = gg_workload(arrivals, rho, servers, 50_000, seed=int(rho * 100) + servers)
+        waits = simulate_fcfs_queue(a, s, servers)
+        assert waits.tobytes() == heap_loop_waits(a, s, servers).tobytes()
+
+    @pytest.mark.parametrize("servers", [2, 8, 40])
+    def test_ties_zero_services_and_negative_arrivals(self, servers):
+        rng = np.random.default_rng(servers)
+        n = 60_000
+        a, s = gg_workload("poisson", 0.6, servers, n, seed=servers)
+        cases = {
+            # arrival times rounded to a coarse grid: many exact ties
+            "tied": (np.floor(a * 20.0) / 20.0, s),
+            # a tenth of the requests need no service at all
+            "zero-service": (a, np.where(rng.random(n) < 0.1, 0.0, s)),
+            # the first half arrives before t = 0, while the initial zeros hold
+            "negative": (a - a[n // 2], s),
+            # quarter-second lattice, exact in binary: departures land
+            # exactly on later arrivals, and some services are zero
+            "lattice": (
+                np.arange(n) * 0.25,
+                rng.integers(0, int(1.4 * servers) + 2, n) * 0.25,
+            ),
+            # arrivals 1/8 s apart in [2**13, 2**14), where 2**-39 s is one
+            # unit in the last place, and each server is needed again one
+            # service time later: most services end 4 units early, 1% on
+            # time (a tie, no wait) and 1% one unit late (a wait the
+            # fast-forward must not mistake for a free server)
+            "near-ties": (
+                2.0**13 + np.arange(n) * 0.125,
+                servers * 0.125
+                + rng.choice([-4, 0, 1], n, p=[0.98, 0.01, 0.01]) * 2.0**-39,
+            ),
+        }
+        for name, (arr, srv) in cases.items():
+            waits = simulate_fcfs_queue(arr, srv, servers)
+            assert waits.tobytes() == heap_loop_waits(arr, srv, servers).tobytes(), name
+
+    @pytest.mark.parametrize("servers", [2, 8, 40])
+    def test_short_inputs(self, servers):
+        for n in (0, 1, 2, servers, servers + 1):
+            for arrivals in ("poisson", "bursty"):
+                a, s = gg_workload(arrivals, 0.9, servers, n, seed=n)
+                waits = simulate_fcfs_queue(a, s, servers)
+                assert waits.tobytes() == heap_loop_waits(a, s, servers).tobytes()
+
+    @pytest.mark.parametrize("workload", ["poisson", "exact-ties"])
+    def test_quiet_queue_skips_the_loop(self, workload, monkeypatch):
+        """A queue where almost no request waits sends almost none through
+        the per-request heap loop: Poisson at c = 40 and rho = 0.3, and a
+        D/D/2 queue whose servers free up exactly as the next request
+        arrives (a tie is a free server, not a wait)."""
+        if workload == "poisson":
+            servers = 40
+            a, s = gg_workload("poisson", 0.3, servers, 50_000, seed=3)
+        else:
+            servers = 2
+            a, s = np.arange(50_000) * 0.5, np.ones(50_000)
+        calls = 0
+
+        def counting_replace(heap, item):
+            nonlocal calls
+            calls += 1
+            return heapq.heapreplace(heap, item)
+
+        monkeypatch.setattr(fastsim, "heapq", SimpleNamespace(heapreplace=counting_replace))
+        waits = simulate_fcfs_queue(a, s, servers)
+        assert calls < 0.05 * a.size
+        assert waits.tobytes() == heap_loop_waits(a, s, servers).tobytes()
 
 
 class TestSystems:

@@ -26,6 +26,15 @@ class TestRegion:
             Region("bad", weight=1.0, edge_rtt=-0.001, cloud_rtt=0.02)
         with pytest.raises(ValueError):
             Region("bad", weight=1.0, edge_rtt=0.02, cloud_rtt=0.01)
+        # NaN fails every comparison, so the range checks alone accept it
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match="finite"):
+                Region("bad", weight=bad, edge_rtt=0.001, cloud_rtt=0.02)
+            with pytest.raises(ValueError, match="finite"):
+                Region("bad", weight=1.0, edge_rtt=bad, cloud_rtt=0.02)
+            with pytest.raises(ValueError, match="finite"):
+                Region("bad", weight=1.0, edge_rtt=0.001, cloud_rtt=bad)
+        Region("idle", weight=0.0, edge_rtt=0.001, cloud_rtt=0.02)
 
 
 class TestGeoComparison:
@@ -88,6 +97,11 @@ class TestGeoComparison:
         ]
         with pytest.raises(ValueError):
             simulate_geo_comparison(zero_w, 10.0, SERVICE, 1)
+        for n in (0, -5):
+            with pytest.raises(ValueError, match="n_per_region_unit"):
+                simulate_geo_comparison(
+                    three_regions(), 10.0, SERVICE, 2, n_per_region_unit=n
+                )
 
     def test_rejects_a_zero_weight_region(self):
         """A region without demand gets no workload to simulate."""
