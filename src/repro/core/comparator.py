@@ -233,8 +233,8 @@ class EdgeCloudComparator:
         return SweepPoint(
             rate_per_site=float(rate_per_site),
             utilization=s.utilization(rate_per_site),
-            edge=summarize(edge.after(cut).end_to_end),
-            cloud=summarize(cloud.after(cut).end_to_end),
+            edge=summarize(edge.end_to_end[edge.created >= cut]),
+            cloud=summarize(cloud.end_to_end[cloud.created >= cut]),
         )
 
     def _measure_point_des(

@@ -42,8 +42,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from repro.obs.exporters import (
     ConsoleTableExporter,
     Exporter,
@@ -55,6 +53,7 @@ from repro.obs.provider import current_telemetry, install, installed, uninstall
 from repro.obs.schema import SchemaError, validate_record, validate_telemetry_file
 from repro.obs.spans import Span, SpanRecorder, request_spans
 from repro.obs.windows import WindowedCollector
+from repro.stats.summary import quantiles
 
 __all__ = [
     "Telemetry",
@@ -260,7 +259,7 @@ class Telemetry:
         # served request's end-to-end latency.
         latencies = self.windows.latencies
         n = len(latencies)
-        p50, p95 = np.quantile(latencies, (0.5, 0.95)) if n else (math.nan, math.nan)
+        p50, p95 = quantiles(latencies, (0.5, 0.95)) if n else (math.nan, math.nan)
         snapshot = {
             **self.metrics.snapshot(),
             "latency.end_to_end.count": float(n),

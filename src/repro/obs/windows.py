@@ -16,8 +16,9 @@ Design constraints, in order:
   check one attribute against ``None``.
 * **Exact percentiles from one retained buffer** — every served
   request's end-to-end latency is appended to one ``array('d')``
-  (:attr:`WindowedCollector.latencies`), and a window's p50/p95 are one
-  ``np.quantile`` over its slice at window close.  That costs 8 bytes
+  (:attr:`WindowedCollector.latencies`), and a window's p50/p95 come
+  from one sort of its slice at window close
+  (:func:`~repro.stats.summary.quantiles`).  That costs 8 bytes
   per served request, beside the request log's nine float64 columns,
   and makes every telemetry percentile exact — the tail is where the
   paper's inversion shows first, so an estimate is not good enough
@@ -33,7 +34,7 @@ from __future__ import annotations
 import math
 from array import array
 
-import numpy as np
+from repro.stats.summary import quantiles
 
 __all__ = ["WindowedCollector"]
 
@@ -201,11 +202,11 @@ class WindowedCollector:
 
         latency = {"mean": None, "p50": None, "p95": None}
         if self._completed:
-            p50, p95 = np.quantile(self.latencies[self._first:], (0.5, 0.95))
+            p50, p95 = quantiles(self.latencies[self._first:], (0.5, 0.95))
             latency = {
                 "mean": self._e2e_sum / self._completed,
-                "p50": float(p50),
-                "p95": float(p95),
+                "p50": p50,
+                "p95": p95,
             }
         record = {
             "type": "window",

@@ -12,10 +12,10 @@ Two execution paths are provided:
   (for geographic load balancing) and dynamic capacity changes.
 * :mod:`repro.sim.fastsim` — the Kiefer–Wolfowitz recursion for FCFS
   G/G/c queues, which skips the requests that find a free server in
-  NumPy, about 27× faster per simulated request (perfbench
-  ``sim_req_per_s``: ≈3.70M req/s on the ``fig7`` workload against
-  ≈139k on ``fig7-des``, three points of one placement of that sweep
-  through the event engine; medians of ten and three 20 s runs on a
+  NumPy, about 33× faster per simulated request (perfbench
+  ``sim_req_per_s``: ≈4.55M req/s on the ``fig7`` workload against
+  ≈138k on ``fig7-des``, three points of one placement of that sweep
+  through the event engine; medians of ten and five 20 s runs on a
   2-vCPU Xeon); the test suite cross-validates the two paths against
   each other and against exact M/M/k theory.
 """

@@ -63,24 +63,38 @@ def simulate_fcfs_queue(
     numpy.ndarray
         Queueing delay of each request, aligned with the inputs.
     """
+    if servers < 1:
+        raise ValueError(f"servers must be >= 1, got {servers}")
+    a, s = _checked_queue_input(arrival_times, service_times)
+    if a.size == 0:
+        return np.empty(0)
+    if servers == 1:
+        return _lindley_single(a, s)
+    return _kw_heap(a, s, servers)
+
+
+def _checked_queue_input(
+    arrival_times: np.ndarray, service_times: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The inputs of a queue as contiguous float arrays, or ``ValueError``.
+
+    Arrivals must be finite and non-decreasing, service times finite and
+    non-negative, and both aligned 1-D arrays; empty input is valid.
+    Finiteness is checked first, because NaN passes the order and sign
+    comparisons.
+    """
     a = np.ascontiguousarray(arrival_times, dtype=float)
     s = np.ascontiguousarray(service_times, dtype=float)
     if a.ndim != 1 or a.shape != s.shape:
         raise ValueError("arrival_times and service_times must be aligned 1-D arrays")
-    if servers < 1:
-        raise ValueError(f"servers must be >= 1, got {servers}")
-    if a.size == 0:
-        return np.empty(0)
-    if not (np.isfinite(a).all() and np.isfinite(s).all()):
-        raise ValueError("arrival_times and service_times must be finite")
-    if np.any(np.diff(a) < 0):
-        raise ValueError("arrival_times must be non-decreasing")
-    if s.min() < 0:
-        raise ValueError("service_times must be non-negative")
-
-    if servers == 1:
-        return _lindley_single(a, s)
-    return _kw_heap(a, s, servers)
+    if a.size:
+        if not (np.isfinite(a).all() and np.isfinite(s).all()):
+            raise ValueError("arrival_times and service_times must be finite")
+        if (a[1:] < a[:-1]).any():
+            raise ValueError("arrival_times must be non-decreasing")
+        if s.min() < 0:
+            raise ValueError("service_times must be non-negative")
+    return a, s
 
 
 # Backoff of the no-wait fast-forward.  One vector attempt on a
@@ -137,14 +151,16 @@ def _kw_heap(a: np.ndarray, s: np.ndarray, servers: int) -> np.ndarray:
                 continue
             block = _BLOCK_MIN
         chunk = _CHUNK_MIN if calm and taken >= _CALM else min(2 * chunk, _CHUNK_MAX)
-        arrivals = a[i:i + chunk].tolist()
-        services = s[i:i + chunk].tolist()
-        chunk_waits = [0.0] * len(arrivals)
-        for k, ai in enumerate(arrivals):
+        chunk_waits = []
+        append = chunk_waits.append
+        for ai, si in zip(a[i:i + chunk].tolist(), s[i:i + chunk].tolist(), strict=True):
             t = free[0]
-            start = t if t > ai else ai
-            chunk_waits[k] = start - ai
-            replace(free, start + services[k])
+            if t > ai:
+                append(t - ai)
+                replace(free, t + si)
+            else:
+                append(0.0)
+                replace(free, ai + si)
         waits[i:i + chunk] = chunk_waits
         i += chunk
         calm = not any(chunk_waits[-_CALM:])
@@ -234,9 +250,11 @@ def _through_network(
         wait = np.empty(a.size)
         wait[order] = queue(at_queue[order], s[order])
         network = out + back
+    end_to_end = network + wait
+    end_to_end += s
     return LatencyBreakdown(
         created=a,
-        end_to_end=network + wait + s,
+        end_to_end=end_to_end,
         wait=wait,
         service=s,
         network=network,
@@ -267,7 +285,12 @@ def simulate_single_queue_system(
 def _round_robin_waits(
     a: np.ndarray, s: np.ndarray, backends: int, servers_per_backend: int
 ) -> np.ndarray:
-    """Waiting times when request ``i`` joins FCFS backend ``i % backends``."""
+    """Waiting times when request ``i`` joins FCFS backend ``i % backends``.
+
+    The whole stream is checked once: each backend's share of a
+    decreasing stream can be non-decreasing.
+    """
+    a, s = _checked_queue_input(a, s)
     waits = np.empty(a.size)
     for b in range(backends):
         waits[b::backends] = simulate_fcfs_queue(
@@ -291,7 +314,9 @@ def _jsq_waits(
     server free times.  Ties are broken uniformly at random, matching the
     DES policy's behaviour statistically (the streams differ, so this
     path is validated against the DES by distribution, not bitwise).
+    The input is checked before any tie-break is drawn.
     """
+    a, s = _checked_queue_input(a, s)
     arrivals = a.tolist()
     services = s.tolist()
     waits = [0.0] * len(arrivals)

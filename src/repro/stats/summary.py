@@ -7,11 +7,13 @@ and the quartiles needed for the violin/box figures (Figs 6 and 10).
 
 from __future__ import annotations
 
+import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["LatencySummary", "summarize"]
+__all__ = ["LatencySummary", "quantiles", "summarize"]
 
 
 @dataclass(frozen=True)
@@ -76,16 +78,48 @@ def summarize(latencies: np.ndarray) -> LatencySummary:
         raise ValueError("cannot summarize an empty latency sample")
     if np.any(~np.isfinite(x)) or x.min() < 0:
         raise ValueError("latencies must be finite and non-negative")
-    q = np.quantile(x, [0.25, 0.5, 0.75, 0.95, 0.99])
+    p25, p50, p75, p95, p99 = quantiles(x, (0.25, 0.5, 0.75, 0.95, 0.99))
     return LatencySummary(
         count=int(x.size),
         mean=float(x.mean()),
         std=float(x.std()),
-        p25=float(q[0]),
-        p50=float(q[1]),
-        p75=float(q[2]),
-        p95=float(q[3]),
-        p99=float(q[4]),
+        p25=p25,
+        p50=p50,
+        p75=p75,
+        p95=p95,
+        p99=p99,
         min=float(x.min()),
         max=float(x.max()),
     )
+
+
+def quantiles(sample: np.ndarray | Sequence[float], qs: Sequence[float]) -> list[float]:
+    """``np.quantile(sample, qs)`` for a non-empty, NaN-free sample, from one sort.
+
+    NumPy's default (linear) method partitions the sample around every
+    index it needs, which costs several times one ``np.sort`` for the
+    handful of quantiles a summary reads.  This repeats its arithmetic
+    on the sorted sample, operation for operation, so each value has the
+    same bits: the virtual index ``v = (n - 1) * q``, its neighbours
+    ``floor(v)`` and ``floor(v) + 1`` (both the last element, with
+    ``floor(v)`` counted as -1, once ``v >= n - 1``), the weight
+    ``t = v - floor(v)``, and ``a + (b - a) * t``, or
+    ``b - (b - a) * (1 - t)`` when ``t >= 0.5``.  Equal values sort in
+    any order, so a sample holding both 0.0 and -0.0 may give a zero
+    of the other sign.
+    """
+    x = np.sort(np.asarray(sample, dtype=float))
+    last = x.size - 1
+    out = []
+    for q in qs:
+        v = last * q
+        if v >= last:
+            lo = -1
+            a = b = x.item(-1)
+        else:
+            lo = math.floor(v)
+            a, b = x.item(lo), x.item(lo + 1)
+        t = v - lo
+        d = b - a
+        out.append(b - d * (1 - t) if t >= 0.5 else a + d * t)
+    return out

@@ -39,7 +39,7 @@ class RequestTrace:
             raise ValueError("arrival_times must be 1-D")
         if not np.isfinite(a).all():
             raise ValueError("arrival_times must be finite")
-        if a.size > 1 and np.any(np.diff(a) < 0):
+        if (a[1:] < a[:-1]).any():
             raise ValueError("arrival_times must be non-decreasing")
         object.__setattr__(self, "arrival_times", a)
         if self.service_times is not None:

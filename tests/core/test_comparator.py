@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.core import comparator
 from repro.core.comparator import ComparisonResult, EdgeCloudComparator, SweepPoint
 from repro.core.scenarios import DISTANT_CLOUD, TYPICAL_CLOUD
 from repro.sim.loadbalancer import RoundRobin
-from repro.stats.summary import LatencySummary
+from repro.stats.summary import LatencySummary, summarize
 
 
 def make_summary(mean, p95):
@@ -80,6 +81,37 @@ class TestMeasurement:
         p = typical_cmp.measure_point(2.0)
         # At rho=0.15 waits are tiny: cloud mean ≈ service + 24 ms.
         assert p.cloud.mean - p.edge.mean == pytest.approx(0.023, abs=0.005)
+
+    @pytest.mark.parametrize("policy", [None, "round-robin", "jsq"])
+    def test_point_summarizes_the_warm_requests(self, policy, monkeypatch):
+        """A point summarizes exactly ``after(cut).end_to_end`` of each side."""
+        records = []
+        for name in ("simulate_edge_system", "simulate_single_queue_system",
+                     "simulate_lb_system"):
+            raw = getattr(comparator, name)
+
+            def recording(*args, _raw=raw, **kwargs):
+                records.append(_raw(*args, **kwargs))
+                return records[-1]
+
+            monkeypatch.setattr(comparator, name, recording)
+        cmp_ = EdgeCloudComparator(
+            TYPICAL_CLOUD, requests_per_site=3_000, seed=11, cloud_policy=policy
+        )
+        for u in (0.3, 0.6, 0.9):
+            records.clear()
+            rate = TYPICAL_CLOUD.rate_for_utilization(u)
+            point = cmp_.measure_point(rate)
+            edge, cloud = records
+            cut = cmp_.warmup_fraction * cloud.created[-1]
+            assert point == SweepPoint(
+                rate_per_site=rate,
+                utilization=TYPICAL_CLOUD.utilization(rate),
+                edge=summarize(edge.after(cut).end_to_end),
+                cloud=summarize(cloud.after(cut).end_to_end),
+            )
+            assert 0 < point.edge.count < len(edge)
+            assert 0 < point.cloud.count < len(cloud)
 
     def test_saturating_rate_rejected(self, typical_cmp):
         with pytest.raises(ValueError):

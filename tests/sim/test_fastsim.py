@@ -209,6 +209,25 @@ class TestNoWaitFastForward:
         assert calls < 0.05 * a.size
         assert waits.tobytes() == heap_loop_waits(a, s, servers).tobytes()
 
+    def test_busy_queue_runs_the_loop(self, monkeypatch):
+        """At rho = 0.5 with c = 8 the scalar phase takes nearly every
+        request, most of them on its no-wait branch, and still computes
+        the heap loop's waits."""
+        servers = 8
+        a, s = gg_workload("poisson", 0.5, servers, 50_000, seed=1)
+        calls = 0
+
+        def counting_replace(heap, item):
+            nonlocal calls
+            calls += 1
+            return heapq.heapreplace(heap, item)
+
+        monkeypatch.setattr(fastsim, "heapq", SimpleNamespace(heapreplace=counting_replace))
+        waits = simulate_fcfs_queue(a, s, servers)
+        assert calls > 0.9 * a.size
+        assert 0.0 < (waits > 0).mean() < 0.1
+        assert waits.tobytes() == heap_loop_waits(a, s, servers).tobytes()
+
 
 class TestSystems:
     def test_single_queue_system_adds_constant_rtt(self):

@@ -184,6 +184,31 @@ class TestLbTopology:
             )
             np.testing.assert_array_equal(des_wait, fast.wait)
 
+    @pytest.mark.parametrize("policy", ["round-robin", "jsq"])
+    def test_both_policies_reject_invalid_input(self, policy):
+        """Both policies check the stream they queue, JSQ before any tie-break draw."""
+
+        class NoDraws:
+            def integers(self, n):
+                raise AssertionError("tie-break drawn before the input was checked")
+
+        cases = [
+            ("finite", np.array([0.0, np.nan, 2.0]), np.ones(3)),
+            ("non-decreasing", np.array([2.0, 1.0, 0.0]), np.ones(3)),
+            ("non-negative", np.array([0.0, 1.0, 2.0]), np.array([1.0, -5.0, 1.0])),
+            # each backend's share of this stream is non-decreasing
+            ("non-decreasing", np.array([0.0, 3.0, 1.0, 4.0]), np.ones(4)),
+        ]
+        for match, a, s in cases:
+            with pytest.raises(ValueError, match=match):
+                simulate_lb_system(
+                    a, s, 2, ConstantLatency(0.0), NoDraws(), policy=policy, backends=2
+                )
+        empty = simulate_lb_system(
+            np.empty(0), np.empty(0), 2, ConstantLatency(0.0), policy=policy, backends=2
+        )
+        assert len(empty) == 0
+
     def test_lb_overhead_inbound_only(self):
         """The balancer adds no hop: network time is the RTT, like the DES topology."""
         a = np.array([0.0, 10.0])

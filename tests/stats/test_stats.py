@@ -1,12 +1,14 @@
 """Tests for the measurement utilities."""
 
+from array import array
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.stats.ci import batch_means_ci
-from repro.stats.summary import summarize
+from repro.stats.summary import quantiles, summarize
 from repro.stats.timeseries import windowed_mean, windowed_percentile
 from repro.stats.warmup import mser_cutoff, trim_warmup
 
@@ -44,6 +46,48 @@ class TestSummarize:
             summarize(np.array([1.0, -1.0]))
         with pytest.raises(ValueError):
             summarize(np.array([1.0, np.nan]))
+
+
+class TestQuantiles:
+    """The one-sort quantiles carry ``np.quantile``'s bits, for the five
+    quantiles of a summary and the two of a telemetry record."""
+
+    QS = ((0.25, 0.5, 0.75, 0.95, 0.99), (0.5, 0.95))
+
+    def assert_numpy_bits(self, x):
+        for qs in self.QS:
+            assert np.asarray(quantiles(x, qs)).tobytes() == np.quantile(x, qs).tobytes()
+
+    def test_small_samples(self):
+        rng = np.random.default_rng(0)
+        for n in (1, 2, 3, 4, 5):
+            for _ in range(400):
+                self.assert_numpy_bits(rng.exponential(1.0, n))
+
+    def test_random_sizes(self):
+        rng = np.random.default_rng(1)
+        sizes = np.unique(np.geomspace(6, 300_000, 40).astype(int))
+        for n in [*sizes, *rng.integers(6, 2_000, 200)]:
+            self.assert_numpy_bits(rng.lognormal(-3.0, 1.0, n))
+
+    def test_tied_and_constant_samples(self):
+        rng = np.random.default_rng(2)
+        for n in (*range(1, 40), 1_000, 45_001, 100_000):
+            self.assert_numpy_bits(np.round(rng.exponential(0.05, n), 2))
+            self.assert_numpy_bits(np.round(rng.exponential(1.0, n)))
+            self.assert_numpy_bits(np.full(n, rng.random()))
+            self.assert_numpy_bits(np.zeros(n))
+            self.assert_numpy_bits(np.full(n, -0.0))
+
+    def test_summary_and_buffer_inputs(self):
+        rng = np.random.default_rng(3)
+        x = rng.exponential(0.1, 45_000)
+        s = summarize(x)
+        got = [s.p25, s.p50, s.p75, s.p95, s.p99]
+        assert np.asarray(got).tobytes() == np.quantile(x, self.QS[0]).tobytes()
+        # telemetry keeps its latencies in an array('d')
+        buffer = array("d", x.tolist())
+        assert quantiles(buffer[7:], self.QS[1]) == quantiles(x[7:], self.QS[1])
 
 
 class TestWindowedSeries:
