@@ -90,7 +90,7 @@ _ENV_READS = {"os.getenv", "os.environ.get", "os.environ.items", "os.environ.key
 
 #: Names whose call records also capture the task-callable argument for
 #: the picklability analysis (resolved properly at link time).
-_TASK_RUNNERS = {"run_tasks", "run_supervised"}
+_TASK_RUNNERS = {"run_tasks"}
 
 #: Seed-derivation entry points traced by repro.analysis.seedflow.
 _SEED_DERIVERS = {"derive_seed", "derive_seedseq", "derive_rng"}
@@ -549,11 +549,10 @@ class _BodyWalker:
     def _fn_arg_descriptor(self, node: ast.Call, *, strict: bool) -> str:
         """Compact descriptor of a call's leading callable argument.
 
-        ``strict`` (run_tasks/run_supervised sites) also honours the
-        ``fn=`` keyword and records *any* argument shape; non-strict
-        sites only record callable-looking args (lambda / partial /
-        name) so wrapper calls stay chaseable without bloating the
-        summaries.
+        ``strict`` (run_tasks sites) also honours the ``fn=`` keyword
+        and records *any* argument shape; non-strict sites only record
+        callable-looking args (lambda / partial / name) so wrapper calls
+        stay chaseable without bloating the summaries.
         """
         arg: ast.expr | None = node.args[0] if node.args else None
         if strict:
@@ -945,7 +944,7 @@ class _Linker:
                     found = self._virtual_targets(cls_qual, call.target)
                     if found:
                         return found
-            # Receiver may be an imported module: `pool.run_tasks(...)`.
+            # Receiver may be an imported module: `supervise.run_tasks(...)`.
             qual = self._resolve_symbol(summary.module,
                                         f"{call.recv}.{call.target}")
             if qual is not None:

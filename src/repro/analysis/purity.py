@@ -11,12 +11,12 @@ answer the questions the per-file rules cannot:
   time.time()``), anchored at the sink's file and line so a plain
   ``# repro: noqa[RPR101] -- reason`` on that line suppresses it.
 * **RPR102 — task-callable picklability.**  Every callable handed to
-  ``run_tasks`` / ``run_supervised`` must resolve to a module-level
-  picklable target.  Lambdas, nested functions and ``functools.partial``
-  wrappers around either are flagged at the call site; a callable that
-  arrives through a *parameter* (the campaign runner's indirection) is
-  chased through the call graph's reverse edges up to
-  :data:`PARAM_CHASE_DEPTH` caller levels.
+  ``run_tasks`` must resolve to a module-level picklable target.
+  Lambdas, nested functions and ``functools.partial`` wrappers around
+  either are flagged at the call site; a callable that arrives through a
+  *parameter* (the campaign runner's indirection) is chased through the
+  call graph's reverse edges up to :data:`PARAM_CHASE_DEPTH` caller
+  levels.
 
 Both passes only see what the call graph indexes (``repro.*`` modules of
 the analyzed paths); dynamic dispatch the linker could not resolve is
@@ -97,13 +97,13 @@ PURITY_INFO = AnalysisInfo(
 
 PICKLE_INFO = AnalysisInfo(
     code=PICKLE_CODE,
-    summary="task callable handed to run_tasks/run_supervised does not "
-            "resolve to a module-level picklable target",
+    summary="task callable handed to run_tasks does not resolve to a "
+            "module-level picklable target",
     explain=(
         "Process pools pickle the task callable, so it must resolve to a "
-        "module-level function. This pass checks every run_tasks / "
-        "run_supervised call site in the graph — including callables "
-        "wrapped in functools.partial and callables that arrive through a "
+        "module-level function. This pass checks every run_tasks call "
+        "site in the graph — including callables wrapped in "
+        "functools.partial and callables that arrive through a "
         "caller's parameter (the campaign runner's indirection), chased "
         f"up to {PARAM_CHASE_DEPTH} caller levels through the call graph."
     ),
@@ -163,7 +163,7 @@ def _root_of(chain: Sequence[str]) -> str:
 
 
 def check_picklability(graph: CallGraph) -> list[Finding]:
-    """Verify every ``run_tasks``/``run_supervised`` task callable pickles."""
+    """Verify every ``run_tasks`` task callable pickles."""
     findings: list[Finding] = []
     for qualname in sorted(graph.functions):
         summary, fn = graph.functions[qualname]
@@ -198,7 +198,7 @@ def _targets_runner(graph: CallGraph, caller_qual: str,
                     call: CallRecord) -> bool:
     """True when the call site really targets the parallel substrate."""
     leaf = call.target.rsplit(".", 1)[-1]
-    if leaf not in ("run_tasks", "run_supervised"):
+    if leaf != "run_tasks":
         return False
     # If the linker resolved the call, require the repro.parallel target;
     # an unresolvable bare name is assumed to be the real runner.

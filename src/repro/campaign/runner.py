@@ -36,9 +36,7 @@ from repro.campaign.executor import ScenarioRun, scenario_task
 from repro.campaign.spec import CampaignSpec
 from repro.experiments.result import ExperimentResult
 from repro.experiments.store import open_journal
-from repro.parallel import run_tasks
-from repro.parallel.pool import resolve_workers
-from repro.parallel.supervise import TaskOutcome
+from repro.parallel import TaskOutcome, resolve_workers, run_tasks
 
 __all__ = [
     "QuarantineRecord",

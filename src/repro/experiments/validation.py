@@ -60,8 +60,14 @@ def validation_table(config: ExperimentConfig = FAST) -> list[ValidationRow]:
         cmp_ = EdgeCloudComparator(
             scenario, requests_per_site=config.requests_per_site, seed=derive_seed(config.seed, i)
         )
+        # One shared checkpoint file: per-comparator scopes (scenario +
+        # derived seed) keep the two anchors' records disjoint.
         _, measured = cmp_.find_crossover(
-            "mean", utilizations=np.arange(0.35, 0.95, 0.05)
+            "mean",
+            utilizations=np.arange(0.35, 0.95, 0.05),
+            workers=config.workers,
+            checkpoint=config.checkpoint,
+            resume=config.resume,
         )
         rows.append(
             ValidationRow(

@@ -1,22 +1,16 @@
 """Parallel execution substrate: process fan-out + deterministic seeding.
 
-Two halves, used together by every layer that splits one experiment into
-independent runs:
+Used by every layer that splits one experiment into independent runs:
 
-* :mod:`repro.parallel.pool` — :func:`run_tasks`, the ordered
-  process fan-out with in-process serial execution and per-task error
-  naming;
+* :mod:`repro.parallel.supervise` — :func:`run_tasks`, the one task
+  executor: ordered fan-out over reusable supervised workers, in-process
+  serial execution, per-task error naming and, on request
+  (``timeout= / retries= / salvage= / journal=``), per-task deadlines,
+  deterministically-jittered retries, :class:`TaskOutcome` envelopes and
+  journal replay;
 * :mod:`repro.parallel.seeding` — :class:`numpy.random.SeedSequence`
   based seed derivation, the collision-free replacement for arithmetic
-  on raw integer seeds.
-
-Two more halves back the crash-safety layer:
-
-* :mod:`repro.parallel.supervise` — the one executor behind every
-  ``run_tasks`` call: reusable supervised workers, and on request
-  (``timeout= / retries= / salvage= / journal=``) per-task deadlines,
-  deterministically-jittered retries, :class:`TaskOutcome` envelopes
-  and journal replay;
+  on raw integer seeds;
 * :mod:`repro.parallel.chaos` — env-triggered worker-kill injection and
   the ``python -m repro.parallel.chaos`` self-test proving salvage,
   resume bit-identity and orphan-free interrupts.
@@ -29,7 +23,6 @@ value — guarded by ``tests/parallel`` and
 ``benchmarks/test_parallel_scaling.py``.  See ``docs/performance.md``.
 """
 
-from repro.parallel.pool import ParallelTaskError, resolve_workers, run_tasks
 from repro.parallel.seeding import (
     derive_rng,
     derive_seed,
@@ -38,20 +31,19 @@ from repro.parallel.seeding import (
     spawn_child,
 )
 from repro.parallel.supervise import (
-    RetryPolicy,
+    ParallelTaskError,
     SupervisionStats,
     TaskOutcome,
-    run_supervised,
+    resolve_workers,
+    run_tasks,
     supervision_stats,
 )
 
 __all__ = [
     "ParallelTaskError",
-    "RetryPolicy",
     "SupervisionStats",
     "TaskOutcome",
     "resolve_workers",
-    "run_supervised",
     "run_tasks",
     "supervision_stats",
     "derive_rng",

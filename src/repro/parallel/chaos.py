@@ -33,6 +33,8 @@ import time
 
 import numpy as np
 
+from repro.parallel.supervise import run_tasks
+
 __all__ = [
     "CHAOS_KILL_ENV",
     "CHAOS_ONCE_DIR_ENV",
@@ -149,8 +151,6 @@ def _check(label: str, condition: bool, detail: str = "") -> None:
 
 def _sigint_child(journal_path: str, beacon_dir: str) -> int:
     """Child mode: a journaled 2-worker run meant to be interrupted."""
-    from repro.parallel.pool import run_tasks
-
     from repro.experiments.store import RunJournal
 
     with RunJournal(journal_path, scope="chaos-sigint") as journal:
@@ -166,8 +166,6 @@ def _sigint_child(journal_path: str, beacon_dir: str) -> int:
 
 def _scenario_crash_retry(tmp: str, baseline: list) -> None:
     """Worker crash mid-task; bounded retries recover within one run."""
-    from repro.parallel.pool import run_tasks
-
     from repro.experiments.store import RunJournal
 
     once = os.path.join(tmp, "once-retry")
@@ -197,8 +195,6 @@ def _scenario_crash_retry(tmp: str, baseline: list) -> None:
 
 def _scenario_crash_resume(tmp: str, baseline: list) -> None:
     """Worker crash with no retries: salvage partials, resume bit-identically."""
-    from repro.parallel.pool import run_tasks
-
     from repro.experiments.store import RunJournal
 
     once = os.path.join(tmp, "once-resume")
@@ -235,8 +231,6 @@ def _scenario_sigint(tmp: str) -> None:
     """SIGINT an in-flight journaled run; no orphans; resume is exact."""
     import signal
     import subprocess
-
-    from repro.parallel.pool import run_tasks
 
     from repro.experiments.store import RunJournal
 
@@ -295,8 +289,6 @@ def _scenario_sigint(tmp: str) -> None:
 
 def _scenario_timeout(tmp: str) -> None:
     """A stalled task is terminated at its deadline and reported as such."""
-    from repro.parallel.pool import run_tasks
-
     t0 = time.monotonic()  # repro: noqa[RPR001] -- harness wall-clock, not simulation time
     outcomes = run_tasks(
         slow_point,
@@ -323,8 +315,6 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
     import tempfile
-
-    from repro.parallel.pool import run_tasks
 
     with tempfile.TemporaryDirectory(prefix="repro-chaos-") as tmp:
         baseline = run_tasks(

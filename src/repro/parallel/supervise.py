@@ -1,9 +1,16 @@
-"""Supervised task execution: the one executor behind ``run_tasks``.
+"""The one task executor: :func:`run_tasks`, ordered and supervised.
 
-Every :func:`repro.parallel.run_tasks` call runs here, and the
-fault-tolerance features are opt-in (``timeout=`` / ``retries=`` /
-``salvage=`` / ``journal=``):
+Every figure in the paper is a sweep of independently seeded runs, so
+the natural execution model is embarrassingly parallel: ship each run to
+a worker process, collect results in submission order, and guarantee the
+outcome is bit-identical to the sequential loop (seeds are derived from
+the task index via :mod:`repro.parallel.seeding`, never from execution
+order).  Every :func:`run_tasks` call runs here, and the fault-tolerance
+features are opt-in (``timeout=`` / ``retries=`` / ``salvage=`` /
+``journal=``):
 
+* **Ordered results.**  ``results[i]`` always corresponds to
+  ``tasks[i]``, regardless of which worker finished first.
 * **Reusable supervised workers.**  At most ``workers`` processes are
   forked per call, each once, over a duplex pipe.  They inherit ``fn``
   and the task list, so each attempt crosses the pipe as one task
@@ -12,6 +19,18 @@ fault-tolerance features are opt-in (``timeout=`` / ``retries=`` /
   deadline (terminate + join) costs exactly one task attempt, never the
   batch; the worker is replaced.  A worker found dead while idle is
   replaced without charging any task.
+* **Serial execution.**  ``workers=1`` (the default, or via
+  ``REPRO_WORKERS``) runs the tasks in order in this process, with
+  retries and journaling but no preemption (a per-task ``timeout``
+  cannot be enforced without a worker process and is warned about), and
+  a task that exhausts its attempts raises its own exception.
+  Non-picklable callables (lambdas, closures over live simulations)
+  also run serially, with a diagnostic warning naming the offending
+  object.
+* **Error propagation.**  A failure in a worker surfaces as
+  :class:`ParallelTaskError` naming the failing task index (with its
+  truncated args and, given ``base_seed=``, its derived seed) and
+  carrying the worker-side traceback text.
 * **Deterministic retries.**  Backoff jitter is drawn from
   ``derive_rng(base_seed, _RETRY_STREAM, index, attempt)`` so a retry
   *schedule* is as reproducible as the results themselves — and because
@@ -27,17 +46,21 @@ fault-tolerance features are opt-in (``timeout=`` / ``retries=`` /
   are replayed from disk before any process is spawned and fresh results
   are durably appended as they arrive, making any run killed at an
   arbitrary point resumable bit-identically.
+* **Telemetry safety.**  The process-wide :func:`repro.obs.install`
+  factory is process-local state.  Rather than silently dropping spans
+  in forked workers, ``run_tasks`` refuses to fan out while a factory is
+  installed (and each worker additionally clears any inherited factory).
+* **No nested pools.**  A task that itself calls ``run_tasks`` runs its
+  subtasks serially inside the worker, so layered APIs (a parallel sweep
+  whose points call a parallel ``run_comparison``) cannot fork-bomb.
 
-``workers=1`` keeps sequential semantics: tasks run in-process, in
-order, with retries and journaling but no preemption (a per-task
-``timeout`` cannot be enforced without a worker process and is warned
-about), and a task that exhausts its attempts raises its own exception.
 See ``docs/robustness.md``.
 """
 
 from __future__ import annotations
 
 import os
+import pickle
 import signal
 import threading
 import time
@@ -46,19 +69,22 @@ import warnings
 from dataclasses import dataclass
 from multiprocessing import Pipe, Process
 from multiprocessing.connection import Connection, wait as _conn_wait
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from typing import Any
 
 from repro.parallel.seeding import derive_rng, derive_seed
 
 __all__ = [
     "ParallelTaskError",
-    "RetryPolicy",
     "SupervisionStats",
     "TaskOutcome",
-    "run_supervised",
+    "resolve_workers",
+    "run_tasks",
     "supervision_stats",
 ]
+
+#: Environment variable giving the default worker count (``workers=None``).
+WORKERS_ENV = "REPRO_WORKERS"
 
 #: Set in worker processes so nested ``run_tasks`` calls stay serial.
 _IN_WORKER_ENV = "REPRO_IN_WORKER"
@@ -66,6 +92,12 @@ _IN_WORKER_ENV = "REPRO_IN_WORKER"
 #: Seed-derivation stream reserved for retry backoff jitter; disjoint
 #: from task-index streams, so retrying never perturbs task seeds.
 _RETRY_STREAM = 0x5EED
+
+#: The retry backoff schedule of :func:`_retry_delay`: base delay and cap
+#: in seconds, and the largest jitter stretch.
+_BACKOFF = 0.05
+_MAX_BACKOFF = 5.0
+_JITTER = 0.5
 
 #: Characters of ``repr(args)`` carried in error messages and outcomes.
 _ARGS_REPR_LIMIT = 200
@@ -161,44 +193,20 @@ class TaskOutcome:
         )
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Bounded retries with deterministically-jittered exponential backoff.
+def _retry_delay(base_seed: int | None, index: int, attempt: int) -> float:
+    """Seconds to wait before retry ``attempt`` (1 = first retry) of a task.
 
-    ``delay(base_seed, index, attempt)`` for attempt ``n`` (1-based) is
-    ``backoff * backoff_factor**(n-1)`` capped at ``max_backoff`` and
-    stretched by up to ``jitter`` (uniform), with the jitter drawn from
-    a :func:`repro.parallel.seeding.derive_rng` stream keyed by
+    ``min(_MAX_BACKOFF, _BACKOFF * 2**(attempt-1))`` stretched by up to
+    ``_JITTER``, with the jitter drawn from a
+    :func:`repro.parallel.seeding.derive_rng` stream keyed by
     ``(base_seed, _RETRY_STREAM, index, attempt)`` — the schedule is a
     pure function of the experiment's seed, never of wall-clock state.
     """
-
-    retries: int = 0
-    timeout: float | None = None
-    backoff: float = 0.05
-    backoff_factor: float = 2.0
-    max_backoff: float = 5.0
-    jitter: float = 0.5
-
-    def __post_init__(self) -> None:
-        if self.retries < 0:
-            raise ValueError(f"retries must be >= 0, got {self.retries}")
-        if self.timeout is not None and self.timeout <= 0:
-            raise ValueError(f"timeout must be > 0, got {self.timeout}")
-        if self.backoff < 0 or self.max_backoff < 0 or self.jitter < 0:
-            raise ValueError("backoff, max_backoff and jitter must be >= 0")
-        if self.backoff_factor < 1.0:
-            raise ValueError(f"backoff_factor must be >= 1, got {self.backoff_factor}")
-
-    def delay(self, base_seed: int | None, index: int, attempt: int) -> float:
-        """Seconds to wait before retry ``attempt`` (1 = first retry)."""
-        base = min(self.max_backoff, self.backoff * self.backoff_factor ** (attempt - 1))
-        if base <= 0 or self.jitter <= 0:
-            return base
-        rng = derive_rng(
-            0 if base_seed is None else base_seed, _RETRY_STREAM, index, attempt
-        )
-        return base * (1.0 + self.jitter * float(rng.random()))
+    base = min(_MAX_BACKOFF, _BACKOFF * 2.0 ** (attempt - 1))
+    rng = derive_rng(
+        0 if base_seed is None else base_seed, _RETRY_STREAM, index, attempt
+    )
+    return base * (1.0 + _JITTER * float(rng.random()))
 
 
 @dataclass
@@ -305,38 +313,146 @@ class _Worker:
 # Supervisor
 # ---------------------------------------------------------------------------
 
-def run_supervised(
+def resolve_workers(workers: int | None = None) -> int:
+    """Resolve a worker count: ``None`` means ``$REPRO_WORKERS`` or 1.
+
+    Inside a pool worker the answer is always 1 (nested fan-out would
+    oversubscribe and risk recursive process creation).
+    """
+    if os.environ.get(_IN_WORKER_ENV):
+        return 1
+    if workers is None:
+        raw = os.environ.get(WORKERS_ENV, "").strip()
+        try:
+            workers = int(raw) if raw else 1
+        except ValueError:
+            raise ValueError(
+                f"{WORKERS_ENV} must be a positive integer, got {raw!r}"
+            ) from None
+    workers = int(workers)
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    return workers
+
+
+def _pickle_diagnostic(fn: Callable, tasks: Sequence[tuple]) -> str | None:
+    """Reason ``fn``/``tasks`` cannot cross a process boundary, or ``None``."""
+    try:
+        pickle.dumps(fn)
+    except Exception as exc:
+        return f"callable {fn!r} is not picklable ({type(exc).__name__}: {exc})"
+    try:
+        pickle.dumps(tasks)
+    except Exception as exc:
+        return f"task arguments are not picklable ({type(exc).__name__}: {exc})"
+    return None
+
+
+def run_tasks(
     fn: Callable,
-    tasks: Sequence[tuple],
+    tasks: Iterable[tuple],
     *,
-    workers: int,
-    policy: RetryPolicy,
+    workers: int | None = None,
     label: str = "task",
+    timeout: float | None = None,
+    retries: int = 0,
+    salvage: bool = False,
     base_seed: int | None = None,
     journal: Any = None,
-    fail_fast: bool = True,
     on_result: Callable[[TaskOutcome], None] | None = None,
-) -> list[TaskOutcome]:
-    """Run every task under supervision; return one outcome per task.
+) -> list:
+    """Run ``fn(*task)`` for every task, fanning across processes.
 
-    ``journal`` is duck-typed: anything with ``key(label=, index=,
-    args=, fn=)``, ``get(key) -> (hit, result)`` and ``put(key, result,
-    label=, index=, args=)`` — completed tasks replay from it, fresh
-    results are appended to it the moment they arrive (before the next
-    dispatch), so an interrupt at any point leaves it resumable.
+    Parameters
+    ----------
+    fn:
+        Callable applied to each task's positional arguments.  Must be
+        picklable (module-level function or bound method of a picklable
+        object) for true parallelism; otherwise the tasks run serially
+        with a diagnostic warning.
+    tasks:
+        Iterable of positional-argument tuples, one per run.
+    workers:
+        Process count; ``None`` reads ``$REPRO_WORKERS`` (default 1).
+        ``1`` runs the tasks in order in this process.
+    label:
+        Human name used in error messages ("sweep point", "replication").
+    timeout:
+        Per-task deadline in seconds, ``> 0`` (requires ``workers >= 2``
+        to be enforceable — a stalled attempt's worker is terminated and
+        the attempt counts as ``"timed-out"``).
+    retries:
+        Bounded retries per task, ``>= 0``.  Retry ``k`` waits
+        ``min(5 s, 0.05 s * 2**(k-1))`` stretched by up to 50%, the
+        jitter drawn via :mod:`repro.parallel.seeding` from
+        ``base_seed`` — and since tasks are deterministic functions of
+        their arguments, a retry can only reproduce what the first
+        attempt would have returned.
+    salvage:
+        Return a list of :class:`TaskOutcome` envelopes — including
+        failures — instead of raising on the first exhausted task.
+    base_seed:
+        The experiment's base seed, used to (a) derive retry-jitter
+        streams and (b) name the failing task's derived seed in
+        :class:`ParallelTaskError` messages.  Never alters results.
+    journal:
+        A :class:`repro.experiments.store.RunJournal` or anything with
+        ``key(label=, index=, args=, fn=)``, ``get(key) -> (hit,
+        result)`` and ``put(key, result, label=, index=, args=)``:
+        completed tasks replay from it, and each fresh result is
+        appended the moment it arrives (before the next dispatch), so
+        an interrupt at any point leaves it resumable.
+    on_result:
+        Progress callback invoked in *this* process with each task's
+        final :class:`TaskOutcome` the moment it settles (journal
+        replay, success, or exhausted failure) — completion order, not
+        task order; retries in flight are not reported.  Lifecycle
+        streaming for :mod:`repro.service`.  Callback exceptions
+        propagate (they indicate a broken observer, not a broken task).
 
-    With ``fail_fast=True`` the first task to exhaust its attempts
-    raises: its :meth:`TaskOutcome.to_error` from a worker, its own
-    exception when the tasks run serially.  With ``fail_fast=False``
-    (``salvage=``) failures are returned in their envelopes instead.
+    Returns
+    -------
+    list
+        ``fn(*tasks[i])`` results in task order — bit-identical to the
+        sequential loop for any worker count, because nothing about the
+        computation depends on scheduling.  With ``salvage=True``, a
+        list of :class:`TaskOutcome` in task order instead.
 
-    ``on_result`` (optional) is invoked in the supervisor process with
-    each task's final :class:`TaskOutcome` as it settles — journal
-    replays first, then live completions/failures in completion order.
-    Per-attempt events (retries in flight) are not reported; a task
-    settles exactly once.
+    Raises
+    ------
+    ParallelTaskError
+        If a task fails in a worker (named by index, args and derived
+        seed, traceback attached) and ``salvage`` is off.  On the serial
+        path the task's original exception propagates unwrapped.
+    repro.obs.provider.TelemetryFanoutError
+        If ``workers > 1`` while a telemetry factory is installed —
+        fan-out would silently drop every span recorded in the workers;
+        run with ``workers=1`` or uninstall telemetry first.  (A
+        ``ValueError`` *and* ``RuntimeError`` subclass.)
     """
+    if retries < 0:
+        raise ValueError(f"retries must be >= 0, got {retries}")
+    if timeout is not None and timeout <= 0:
+        raise ValueError(f"timeout must be > 0, got {timeout}")
     tasks = [tuple(t) for t in tasks]
+    workers = resolve_workers(workers)
+    if workers > 1:
+        from repro.obs import provider
+
+        provider.ensure_fanout_compatible(workers, context="run_tasks")
+    workers = min(workers, max(1, len(tasks)))
+    if workers > 1:
+        diagnostic = _pickle_diagnostic(fn, tasks)
+        if diagnostic is not None:
+            warnings.warn(
+                f"run_tasks falling back to serial execution: {diagnostic}. "
+                "Pass a module-level function (or a bound method of a "
+                "picklable object) to enable process parallelism.",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+            workers = 1
+
     outcomes: list[TaskOutcome | None] = [None] * len(tasks)
     keys: list[str | None] = [None] * len(tasks)
     todo: list[int] = []
@@ -355,19 +471,19 @@ def run_supervised(
 
     if workers > 1 and len(todo) > 1:
         _run_parallel(fn, tasks, todo, keys, outcomes, workers=workers,
-                      policy=policy, label=label, base_seed=base_seed,
-                      journal=journal, fail_fast=fail_fast,
+                      retries=retries, timeout=timeout, label=label,
+                      base_seed=base_seed, journal=journal, salvage=salvage,
                       on_result=on_result)
     else:
-        _run_serial(fn, tasks, todo, keys, outcomes, policy=policy,
-                    label=label, base_seed=base_seed, journal=journal,
-                    fail_fast=fail_fast, on_result=on_result)
+        _run_serial(fn, tasks, todo, keys, outcomes, retries=retries,
+                    timeout=timeout, label=label, base_seed=base_seed,
+                    journal=journal, salvage=salvage, on_result=on_result)
 
-    if not fail_fast:
-        _STATS.salvaged += sum(
-            1 for o in outcomes if o is not None and not o.ok
-        )
-    return [o for o in outcomes if o is not None]
+    settled = [o for o in outcomes if o is not None]
+    if not salvage:
+        return [o.result for o in settled]
+    _STATS.salvaged += sum(1 for o in settled if not o.ok)
+    return settled
 
 
 def _outcome(
@@ -410,16 +526,16 @@ def _record_ok(outcomes, keys, journal, tasks, label, base_seed, index,
         on_result(outcomes[index])
 
 
-def _run_serial(fn, tasks, todo, keys, outcomes, *, policy, label,
-                base_seed, journal, fail_fast, on_result=None) -> None:
+def _run_serial(fn, tasks, todo, keys, outcomes, *, retries, timeout, label,
+                base_seed, journal, salvage, on_result) -> None:
     """In-process, in-order execution: retries + journal, no preemption."""
-    if policy.timeout is not None:
+    if timeout is not None:
         warnings.warn(
             "run_tasks: per-task timeout is not enforced with workers=1 "
             "(there is no worker process to terminate); use workers >= 2 "
             "for timeout supervision",
             RuntimeWarning,
-            stacklevel=4,
+            stacklevel=3,
         )
     from repro.parallel.chaos import chaos_point
 
@@ -430,9 +546,9 @@ def _run_serial(fn, tasks, todo, keys, outcomes, *, policy, label,
             try:
                 result = fn(*tasks[i])
             except Exception as exc:
-                if attempt <= policy.retries:
+                if attempt <= retries:
                     _STATS.retries += 1
-                    time.sleep(policy.delay(base_seed, i, attempt))
+                    time.sleep(_retry_delay(base_seed, i, attempt))
                     attempt += 1
                     continue
                 _STATS.failures += 1
@@ -443,7 +559,7 @@ def _run_serial(fn, tasks, todo, keys, outcomes, *, policy, label,
                 )
                 if on_result is not None:
                     on_result(outcomes[i])
-                if fail_fast:
+                if not salvage:
                     raise
                 break
             else:
@@ -487,9 +603,9 @@ def _reap(worker: _Worker) -> None:
     worker.conn.close()
 
 
-def _run_parallel(fn, tasks, todo, keys, outcomes, *, workers, policy,
-                  label, base_seed, journal, fail_fast,
-                  on_result=None) -> None:
+def _run_parallel(fn, tasks, todo, keys, outcomes, *, workers, retries,
+                  timeout, label, base_seed, journal, salvage,
+                  on_result) -> None:
     """Supervise at most ``workers`` reusable workers, one attempt at a time each."""
     # (index, attempt, not_before): attempts waiting to be dispatched.
     pending: list[tuple[int, int, float]] = [(i, 1, 0.0) for i in todo]
@@ -500,9 +616,9 @@ def _run_parallel(fn, tasks, todo, keys, outcomes, *, workers, policy,
                  tb: str | None) -> None:
         """Retry if attempts remain, else record (and maybe raise) failure."""
         now = time.monotonic()  # repro: noqa[RPR001] -- supervision deadlines are wall-clock, not simulation time
-        if worker.attempt <= policy.retries:
+        if worker.attempt <= retries:
             _STATS.retries += 1
-            backoff = policy.delay(base_seed, worker.index, worker.attempt)
+            backoff = _retry_delay(base_seed, worker.index, worker.attempt)
             pending.append((worker.index, worker.attempt + 1, now + backoff))
             return
         _STATS.failures += 1
@@ -512,7 +628,7 @@ def _run_parallel(fn, tasks, todo, keys, outcomes, *, workers, policy,
         )
         if on_result is not None:
             on_result(outcomes[worker.index])
-        if fail_fast:
+        if not salvage:
             raise outcomes[worker.index].to_error(base_seed)
 
     def retire(worker: _Worker) -> None:
@@ -541,9 +657,7 @@ def _run_parallel(fn, tasks, todo, keys, outcomes, *, workers, policy,
                 index, attempt, _ = pending.pop(slot)
                 worker = idle_worker()
                 worker.index, worker.attempt = index, attempt
-                worker.deadline = (
-                    None if policy.timeout is None else now + policy.timeout
-                )
+                worker.deadline = None if timeout is None else now + timeout
                 running[worker.conn] = worker
                 try:
                     worker.conn.send(index)
@@ -561,8 +675,8 @@ def _run_parallel(fn, tasks, todo, keys, outcomes, *, workers, policy,
             # Only *future* eligibility counts: an already-eligible retry
             # is waiting on a slot, which only a completion can free.
             wakeups += [nb for _, _, nb in pending if nb > now]
-            timeout = None if not wakeups else max(0.0, min(wakeups) - now)
-            ready = _conn_wait(list(running), timeout=timeout)
+            wait_s = None if not wakeups else max(0.0, min(wakeups) - now)
+            ready = _conn_wait(list(running), timeout=wait_s)
             for conn in ready:
                 worker = running.pop(conn)
                 try:
@@ -594,7 +708,7 @@ def _run_parallel(fn, tasks, todo, keys, outcomes, *, workers, policy,
                 _STATS.timeouts += 1
                 finalize(
                     worker, "timed-out",
-                    f"exceeded per-task timeout of {policy.timeout}s", None,
+                    f"exceeded per-task timeout of {timeout}s", None,
                 )
     finally:
         # A clean finish, a fail-fast error, KeyboardInterrupt, anything:

@@ -8,10 +8,10 @@ the heavy-traffic (Kingman) exponential approximation:
    P(W_q > t) \\approx P(W_q > 0)\\,e^{-t / E[W_q \\mid W_q > 0]}
 
 with the mean wait from Allen–Cunneen and the probability of delay from
-Erlang-C (or Bolch's closed form).  The approximation is asymptotically
-exact as ρ → 1 and is the workhorse behind tail-SLO sizing rules in
-practice; the tests bound its error against simulation in the regimes
-the paper's experiments occupy.
+Erlang-C.  The approximation is asymptotically exact as ρ → 1 and is
+the workhorse behind tail-SLO sizing rules in practice; the tests bound
+its error against simulation in the regimes the paper's experiments
+occupy.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import math
 import numpy as np
 
 from repro.queueing.base import ensure_stable
-from repro.queueing.ggk import allen_cunneen_wait, bolch_prob_wait
+from repro.queueing.ggk import allen_cunneen_wait
 from repro.queueing.mmk import erlang_c
 
 __all__ = ["gg_wait_tail", "gg_wait_percentile", "gg_response_percentile"]
@@ -33,16 +33,10 @@ def _delay_parameters(
     servers: int,
     ca2: float,
     cs2: float,
-    prob_wait: str,
 ) -> tuple[float, float]:
     """Return ``(P(Wq > 0), E[Wq | Wq > 0])`` under the approximation."""
-    rho = ensure_stable(arrival_rate, service_rate, servers)
-    if prob_wait == "erlang":
-        ps = erlang_c(servers, arrival_rate / service_rate)
-    elif prob_wait == "bolch":
-        ps = bolch_prob_wait(servers, rho)
-    else:
-        raise ValueError(f"prob_wait must be 'erlang' or 'bolch', got {prob_wait!r}")
+    ensure_stable(arrival_rate, service_rate, servers)
+    ps = erlang_c(servers, arrival_rate / service_rate)
     mean_wait = allen_cunneen_wait(
         arrival_rate, service_rate, servers, ca2, cs2, prob_wait="erlang"
     )
@@ -58,18 +52,14 @@ def gg_wait_tail(
     servers: int,
     ca2: float = 1.0,
     cs2: float = 1.0,
-    *,
-    prob_wait: str = "erlang",
 ) -> np.ndarray:
     """Approximate :math:`P(W_q > t)` for a GI/G/k queue.
 
-    Exact for M/M/k (``ca2 = cs2 = 1`` with ``prob_wait='erlang'``);
-    heavy-traffic approximation otherwise.
+    Exact for M/M/k (``ca2 = cs2 = 1``); heavy-traffic approximation
+    otherwise.
     """
     t = np.asarray(t, dtype=float)
-    ps, cond = _delay_parameters(
-        arrival_rate, service_rate, servers, ca2, cs2, prob_wait
-    )
+    ps, cond = _delay_parameters(arrival_rate, service_rate, servers, ca2, cs2)
     if ps == 0.0:
         return np.where(t >= 0, 0.0, 1.0)
     out = ps * np.exp(-np.maximum(t, 0.0) / cond)
@@ -83,8 +73,6 @@ def gg_wait_percentile(
     servers: int,
     ca2: float = 1.0,
     cs2: float = 1.0,
-    *,
-    prob_wait: str = "erlang",
 ) -> float:
     """Approximate q-quantile of the GI/G/k waiting time, in seconds.
 
@@ -92,9 +80,7 @@ def gg_wait_percentile(
     """
     if not 0.0 < q < 1.0:
         raise ValueError(f"q must be in (0, 1), got {q}")
-    ps, cond = _delay_parameters(
-        arrival_rate, service_rate, servers, ca2, cs2, prob_wait
-    )
+    ps, cond = _delay_parameters(arrival_rate, service_rate, servers, ca2, cs2)
     if ps == 0.0 or q <= 1.0 - ps:
         return 0.0
     return -cond * math.log((1.0 - q) / ps)
@@ -107,24 +93,11 @@ def gg_response_percentile(
     servers: int,
     ca2: float = 1.0,
     cs2: float = 1.0,
-    *,
-    prob_wait: str = "erlang",
-    service_quantile: float | None = None,
 ) -> float:
     """Approximate q-quantile of the response time ``T = Wq + S``.
 
     Uses the common engineering decomposition
-    ``t_q(T) ≈ t_q(Wq) + E[S]`` (wait quantile plus mean service) unless
-    ``service_quantile`` supplies the service distribution's own
-    q-quantile, in which case the sharper ``max``-style combination
-    ``t_q(Wq) + E[S]`` vs ``service_quantile`` floor is applied.
+    ``t_q(T) ≈ t_q(Wq) + E[S]`` (wait quantile plus mean service).
     """
-    wait_q = gg_wait_percentile(
-        q, arrival_rate, service_rate, servers, ca2, cs2, prob_wait=prob_wait
-    )
-    base = wait_q + 1.0 / service_rate
-    if service_quantile is not None:
-        if service_quantile < 0:
-            raise ValueError(f"service_quantile must be >= 0, got {service_quantile}")
-        return max(base, service_quantile)
-    return base
+    wait_q = gg_wait_percentile(q, arrival_rate, service_rate, servers, ca2, cs2)
+    return wait_q + 1.0 / service_rate

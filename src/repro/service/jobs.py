@@ -155,7 +155,7 @@ class JobManager:
         self._started = True
         if self.telemetry_window is not None:
             from repro.obs import provider
-            from repro.parallel.pool import resolve_workers
+            from repro.parallel import resolve_workers
 
             provider.ensure_fanout_compatible(
                 resolve_workers(self.workers),

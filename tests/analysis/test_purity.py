@@ -154,10 +154,10 @@ class TestPicklability:
         # The campaign runner's indirection: run_tasks sees a parameter;
         # the offending lambda lives one caller up.
         graph = build_graph(tmp_path, {"repro/app.py": """\
-            from repro.parallel import run_supervised
+            from repro.parallel import run_tasks
 
             def sweep(fn, tasks):
-                return run_supervised(fn, tasks)
+                return run_tasks(fn, tasks)
 
             def main(tasks):
                 return sweep(lambda t: t, tasks)

@@ -1,7 +1,10 @@
 """Tests for the §4.2 validation table and formula-consistency check."""
 
+import dataclasses
+
 import pytest
 
+from repro.experiments.config import ExperimentConfig
 from repro.experiments.report import render_validation
 from repro.experiments.validation import (
     PAPER_ANCHORS,
@@ -41,6 +44,26 @@ class TestValidationTable:
     def test_render(self, rows):
         out = render_validation(rows)
         assert "paper pred" in out and "our meas" in out
+
+    def test_honors_workers_checkpoint_and_resume(self, tmp_path):
+        from repro.obs import provider
+
+        small = ExperimentConfig(requests_per_site=1000)
+        plain = validation_table(small)
+        path = str(tmp_path / "v.journal")
+        checkpointed = validation_table(dataclasses.replace(small, checkpoint=path))
+        with open(path) as fh:
+            # A header, then 12 sweep points for each of the two anchors.
+            assert len(fh.read().splitlines()) == 1 + 2 * 12
+        resumed = validation_table(
+            dataclasses.replace(small, checkpoint=path, resume=True)
+        )
+        fanned = validation_table(dataclasses.replace(small, workers=2))
+        assert checkpointed == plain and resumed == plain and fanned == plain
+        # workers=2 really fans out: fan-out is refused under telemetry.
+        with provider.installed(lambda: None):
+            with pytest.raises(provider.TelemetryFanoutError):
+                validation_table(dataclasses.replace(small, workers=2))
 
 
 class TestFormulaConsistency:

@@ -6,7 +6,7 @@ import warnings
 import pytest
 
 from repro.parallel import ParallelTaskError, resolve_workers, run_tasks
-from repro.parallel.pool import _IN_WORKER_ENV, WORKERS_ENV
+from repro.parallel.supervise import _IN_WORKER_ENV, WORKERS_ENV
 
 
 def square(x):
@@ -102,9 +102,10 @@ class TestRunTasks:
             run_tasks(fail_on, [(i, 2) for i in range(5)], workers=1)
 
     def test_lambda_falls_back_with_diagnostic(self):
-        with pytest.warns(RuntimeWarning, match="not picklable"):
+        with pytest.warns(RuntimeWarning, match="not picklable") as record:
             out = run_tasks(lambda x: x + 1, [(1,), (2,)], workers=2)  # repro: noqa[RPR005] -- the serial-fallback path is exactly what this test exercises
         assert out == [2, 3]
+        assert record.pop(RuntimeWarning).filename == __file__  # names the caller
 
     def test_unpicklable_args_fall_back(self):
         import threading

@@ -11,12 +11,12 @@ import pytest
 
 from repro.parallel import (
     ParallelTaskError,
-    RetryPolicy,
     TaskOutcome,
     derive_seed,
     run_tasks,
     supervision_stats,
 )
+from repro.parallel.supervise import _retry_delay
 from repro.experiments.store import RunJournal
 
 
@@ -87,36 +87,37 @@ def _reset_stats():
 
 class TestRetryPolicy:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            RetryPolicy(retries=-1)
-        with pytest.raises(ValueError):
-            RetryPolicy(timeout=0.0)
-        with pytest.raises(ValueError):
-            RetryPolicy(backoff=-0.1)
-        with pytest.raises(ValueError):
-            RetryPolicy(backoff_factor=0.5)
+        with pytest.raises(ValueError, match="retries must be >= 0"):
+            run_tasks(square, [(1,)], retries=-1)
+        with pytest.raises(ValueError, match="timeout must be > 0"):
+            run_tasks(square, [(1,)], timeout=0.0)
+        with pytest.raises(ValueError, match="timeout must be > 0"):
+            run_tasks(square, [(1,)], workers=2, timeout=-1.0)
 
     def test_delay_is_deterministic_in_seed(self):
-        p = RetryPolicy(retries=3, backoff=0.1)
-        assert p.delay(42, 5, 1) == p.delay(42, 5, 1)
-        assert p.delay(42, 5, 1) != p.delay(42, 5, 2)
-        assert p.delay(42, 5, 1) != p.delay(42, 6, 1)
-        assert p.delay(42, 5, 1) != p.delay(43, 5, 1)
+        assert _retry_delay(42, 5, 1) == _retry_delay(42, 5, 1)
+        assert _retry_delay(42, 5, 1) != _retry_delay(42, 5, 2)
+        assert _retry_delay(42, 5, 1) != _retry_delay(42, 6, 1)
+        assert _retry_delay(42, 5, 1) != _retry_delay(43, 5, 1)
+        # The schedule is pinned bit for bit: (base_seed, index, attempt).
+        assert _retry_delay(2021, 3, 1) == 0.05532518336656383
+        assert _retry_delay(2021, 3, 2) == 0.11292546723582114
+        assert _retry_delay(None, 0, 8) == 6.099672421930378
+        assert _retry_delay(7, 5, 12) == 5.365964060619936
 
     def test_delay_grows_and_caps(self):
-        p = RetryPolicy(retries=10, backoff=0.1, backoff_factor=2.0,
-                        max_backoff=0.4, jitter=0.0)
-        assert p.delay(0, 0, 1) == pytest.approx(0.1)
-        assert p.delay(0, 0, 2) == pytest.approx(0.2)
-        assert p.delay(0, 0, 4) == pytest.approx(0.4)  # capped
-        assert p.delay(0, 0, 8) == pytest.approx(0.4)
+        # Doubling from 0.05 s up to the 5 s cap (0.05 * 2**7 = 6.4 > 5).
+        for attempt in range(1, 15):
+            base = min(5.0, 0.05 * 2.0 ** (attempt - 1))
+            assert base <= _retry_delay(0, 0, attempt) < 1.5 * base
+        assert _retry_delay(0, 0, 7) < 5.0 <= _retry_delay(0, 0, 8) < 7.5
 
     def test_jitter_bounded(self):
-        p = RetryPolicy(retries=1, backoff=0.1, jitter=0.5)
-        for attempt in range(1, 6):
-            base = min(p.max_backoff, 0.1 * 2.0 ** (attempt - 1))
-            d = p.delay(7, 0, attempt)
-            assert base <= d <= base * 1.5  # base .. base * (1 + jitter)
+        # Jitter stretches the first retry's 0.05 s by up to half, and
+        # different tasks draw different stretches.
+        ratios = [_retry_delay(7, i, 1) / 0.05 for i in range(200)]
+        assert all(1.0 <= r < 1.5 for r in ratios)  # base .. base * (1 + jitter)
+        assert max(ratios) - min(ratios) > 0.4
 
 
 class TestSalvage:
@@ -196,7 +197,7 @@ class TestTimeout:
         out = run_tasks(sleep_forever, [(0,), (1,)], workers=2,
                         timeout=0.3, salvage=True)
         assert all(o.status == "timed-out" for o in out)
-        assert "timeout" in out[0].error
+        assert "exceeded per-task timeout of 0.3s" in out[0].error
         assert time.monotonic() - t0 < 30.0
         assert supervision_stats().timeouts == 2
 
@@ -205,10 +206,11 @@ class TestTimeout:
             run_tasks(sleep_forever, [(0,), (1,)], workers=2, timeout=0.3)
 
     def test_serial_timeout_warns_and_skips_enforcement(self):
-        with pytest.warns(RuntimeWarning, match="not enforced"):
+        with pytest.warns(RuntimeWarning, match="not enforced") as record:
             out = run_tasks(square, [(2,), (3,)], workers=1,
                             timeout=0.001, salvage=True)
         assert [o.result for o in out] == [4, 9]
+        assert record.pop(RuntimeWarning).filename == __file__  # names the caller
 
 
 class TestEnrichedErrors:

@@ -21,7 +21,7 @@ class TestExactForMMk:
         lam = rho * k * mu
         q = MMk(lam, mu, k)
         ts = np.linspace(0.0, 0.5, 20)
-        approx = gg_wait_tail(ts, lam, mu, k, 1.0, 1.0, prob_wait="erlang")
+        approx = gg_wait_tail(ts, lam, mu, k, 1.0, 1.0)
         exact = 1.0 - q.waiting_time_cdf(ts)
         np.testing.assert_allclose(approx, exact, atol=1e-9)
 
@@ -80,16 +80,8 @@ class TestResponsePercentile:
         w = gg_wait_percentile(0.95, lam, mu, k)
         assert gg_response_percentile(0.95, lam, mu, k) == pytest.approx(w + 1.0 / mu)
 
-    def test_service_quantile_floor(self):
-        lam, mu, k = 5.0, 13.0, 5  # nearly no waiting
-        floor = 0.5
-        r = gg_response_percentile(0.95, lam, mu, k, service_quantile=floor)
-        assert r >= floor
-
     def test_validation(self):
         with pytest.raises(ValueError):
             gg_wait_percentile(1.0, 5.0, 13.0, 1)
         with pytest.raises(ValueError):
-            gg_wait_tail(0.1, 5.0, 13.0, 1, prob_wait="nope")
-        with pytest.raises(ValueError):
-            gg_response_percentile(0.9, 5.0, 13.0, 1, service_quantile=-1.0)
+            gg_response_percentile(0.0, 5.0, 13.0, 1)
