@@ -440,8 +440,7 @@ def run_tasks(
         from repro.obs import provider
 
         provider.ensure_fanout_compatible(workers, context="run_tasks")
-    workers = min(workers, max(1, len(tasks)))
-    if workers > 1:
+    if workers > 1 and tasks:
         diagnostic = _pickle_diagnostic(fn, tasks)
         if diagnostic is not None:
             warnings.warn(
@@ -469,15 +468,16 @@ def run_tasks(
                 continue
         todo.append(i)
 
-    if workers > 1 and len(todo) > 1:
-        _run_parallel(fn, tasks, todo, keys, outcomes, workers=workers,
-                      retries=retries, timeout=timeout, label=label,
-                      base_seed=base_seed, journal=journal, salvage=salvage,
-                      on_result=on_result)
-    else:
+    if workers == 1:
         _run_serial(fn, tasks, todo, keys, outcomes, retries=retries,
                     timeout=timeout, label=label, base_seed=base_seed,
                     journal=journal, salvage=salvage, on_result=on_result)
+    elif todo:
+        # Even one task left gets a worker, so that its timeout holds.
+        _run_parallel(fn, tasks, todo, keys, outcomes,
+                      workers=min(workers, len(todo)), retries=retries,
+                      timeout=timeout, label=label, base_seed=base_seed,
+                      journal=journal, salvage=salvage, on_result=on_result)
 
     settled = [o for o in outcomes if o is not None]
     if not salvage:

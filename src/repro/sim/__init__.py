@@ -11,10 +11,10 @@ Two execution paths are provided:
   with per-request tracing, load-balancer policies, redirection hooks
   (for geographic load balancing) and dynamic capacity changes.
 * :mod:`repro.sim.fastsim` — the Kiefer–Wolfowitz recursion for FCFS
-  G/G/c queues, which skips the requests that find a free server in
-  NumPy, about 33× faster per simulated request (perfbench
-  ``sim_req_per_s``: ≈4.55M req/s on the ``fig7`` workload against
-  ≈138k on ``fig7-des``, three points of one placement of that sweep
+  G/G/c queues, which settles blocks of requests in NumPy, waits
+  included, about 41× faster per simulated request (perfbench
+  ``sim_req_per_s``: ≈5.60M req/s on the ``fig7`` workload against
+  ≈137k on ``fig7-des``, three points of one placement of that sweep
   through the event engine; medians of ten and five 20 s runs on a
   2-vCPU Xeon); the test suite cross-validates the two paths against
   each other and against exact M/M/k theory.

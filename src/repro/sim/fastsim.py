@@ -8,10 +8,12 @@ sequence is fully determined by the recursion
     start_i = max(arrival_i, earliest server free time)
 
 maintained in a size-c min-heap of server free times — O(n log c) with
-no event objects.  Requests that wait go through a per-request Python
-loop over that heap; stretches of requests that find a free server are
-skipped in NumPy, bit for bit (:func:`_kw_heap`).  One server (c = 1)
-runs the Lindley recursion instead.  On top of the single queue this
+no event objects.  Blocks of requests are settled in NumPy by a few
+fixed-point rounds of that recursion, waits included, and a vector
+check keeps only the prefix it proves equal to the per-request Python
+loop over the heap; busy periods that do not settle go through the loop
+(:func:`_kw_heap`).  Both give the same waits, bit for bit.  One server
+(c = 1) runs the Lindley recursion instead.  On top of the single queue this
 module covers the paper's actual topologies: k independent edge sites
 (:func:`simulate_edge_system`), the cloud central queue
 (:func:`simulate_single_queue_system`), and the cloud behind a
@@ -97,21 +99,34 @@ def _checked_queue_input(
     return a, s
 
 
-# Backoff of the no-wait fast-forward.  One vector attempt on a
-# _BLOCK_MIN block costs 10-19 us, as much as 40-60 iterations of the
-# heap loop (2-vCPU Xeon, c = 8 and 40); past that, a request costs the
-# vector phase ~6 ns against the loop's 210-390 ns.  Blocks double while
-# whole blocks are accepted.  An attempt is made only after _CALM
-# requests in a row found a free server; one that accepts fewer than
-# _CALM doubles the next scalar chunk, and so does a skipped one.  On
-# the Figure 7 grid, _CALM = 32 beat 64 and 128 (0.48x, 0.51x and 0.53x
-# the loop's time).  _CHUNK_MAX also keeps the loop's float lists small,
-# which runs the loop faster than one list of the whole array.
+# Backoff of the vector phase.  One attempt on a _BLOCK_MIN block costs
+# 10-19 us, as much as 40-60 iterations of the heap loop (2-vCPU Xeon,
+# c = 8 and 40); past that, a request costs one round 6-9 ns against the
+# loop's 210-390 ns.  Blocks double while whole blocks are accepted.  An
+# attempt is made only after _CALM requests in a row found a free
+# server; one that accepts fewer than _CALM doubles the next scalar
+# chunk, and so does a skipped one.  On the Figure 7 grid, _CALM = 32
+# beat 64 and 128 (0.48x, 0.51x and 0.53x the loop's time).  _CHUNK_MAX
+# also keeps the loop's float lists small, which runs the loop faster
+# than one list of the whole array.
 _BLOCK_MIN = 256
 _BLOCK_MAX = 16_384
 _CHUNK_MIN = 64
 _CHUNK_MAX = 4_096
 _CALM = 32
+# Stop rule of the fixed-point rounds.  A busy period settles about one
+# link of its chain of waits per round, and a round costs a sort of the
+# whole block, so an attempt ends once a round leaves more than _STALL
+# of the previous round's unsettled requests, or once round 1 leaves
+# more than _CROWD of the block, and after _ROUNDS rounds at most.  Over
+# the 312 queues of a Figure 7 unit (seed 7) these values took 0.695x
+# the time of the no-wait prefix alone.  Without the _CROWD test it was
+# 0.705x, with the edge at rho 0.75-0.88 4-8% slower than the no-wait
+# prefix; _ROUNDS = 8 or _STALL = 0.7 gave up on mid-load blocks that
+# converge (0.72x).
+_ROUNDS = 16
+_STALL = 0.9
+_CROWD = 0.25
 
 
 def _kw_heap(a: np.ndarray, s: np.ndarray, servers: int) -> np.ndarray:
@@ -119,21 +134,22 @@ def _kw_heap(a: np.ndarray, s: np.ndarray, servers: int) -> np.ndarray:
 
     Each step replaces the heap's minimum by a departure no smaller than
     it, so the heap always holds the ``servers`` largest departures so
-    far, counting its initial zeros.  A request therefore waits exactly
-    when all of them exceed its arrival, and until the first request
-    that waits every departure is ``a + s``.  The recursion alternates
-    two phases over the arrays:
+    far, counting its initial zeros, and request k of a block starts at
+    the later of its arrival and the (k+1)-th smallest of the heap and
+    the departures of requests 0..k-1.  The recursion alternates two
+    phases over the arrays:
 
-    * a vector phase, :func:`_no_wait_prefix`, which takes the requests
-      up to the next one that waits, with wait 0.0, and replaces the heap
-      by the ``servers`` largest of it and their departures;
+    * a vector phase, :func:`_settled_prefix`, which iterates that
+      order-statistic form of the recursion over a block and takes the
+      longest head of it that :func:`_proven_prefix` proves equal to the
+      loop, waits included, then replaces the heap by the ``servers``
+      largest of it and their departures;
     * a scalar phase, the heap loop over one chunk of ``tolist()``
-      floats, for the requests that wait.
+      floats, for the stretches the vector phase leaves.
 
-    Both are exact.  A request that does not wait starts at its arrival,
-    so its departure ``a + s`` and its wait ``a - a = 0.0`` are the IEEE
-    operations the loop performs, and the heap's multiset, which decides
-    every later ``free[0]``, is the loop's.
+    Both are exact: every wait and departure the vector phase accepts is
+    the IEEE result the loop computes, and the heap's multiset, which
+    decides every later ``free[0]``, is the loop's.
     """
     n = a.size
     waits = np.zeros(n)
@@ -144,7 +160,7 @@ def _kw_heap(a: np.ndarray, s: np.ndarray, servers: int) -> np.ndarray:
     i = 0
     while i < n:
         if calm:
-            taken, free = _no_wait_prefix(a[i:i + block], s[i:i + block], free)
+            taken, free = _settled_prefix(a[i:i + block], s[i:i + block], free, waits[i:i + block])
             i += taken
             if taken == block:
                 block = min(2 * block, _BLOCK_MAX)
@@ -167,31 +183,76 @@ def _kw_heap(a: np.ndarray, s: np.ndarray, servers: int) -> np.ndarray:
     return waits
 
 
-def _no_wait_prefix(
-    a: np.ndarray, s: np.ndarray, free: list[float]
+def _settled_prefix(
+    a: np.ndarray, s: np.ndarray, free: list[float], waits: np.ndarray
 ) -> tuple[int, list[float]]:
-    """How many requests at the head of ``a`` find a free server, and the heap after them.
+    """How many requests at the head of ``a`` fixed-point rounds settle, and the heap after them.
 
-    While none of the block has waited, request k of it waits exactly
-    when at least ``len(free)`` of the heap's times and the departures
-    ``a + s`` of requests 0..k-1 exceed its arrival: when at most k of
-    them are at or before it, that is, when the (k+1)-th smallest of the
-    heap and all the block's departures is later than it.  Departures of
-    later requests never count, because every departure is strictly
-    later than its own arrival; a block where that fails (a zero or
-    negligible service time) is left to the loop.  The heap comes back
-    as a sorted list, which is a valid heap.
+    Round 1 guesses that no request waits (departures ``a + s``); each
+    round feeds its next guess to the following one until the block is
+    proven, the stop rule fires or ``_ROUNDS`` have run.  The proven
+    prefix never shrinks from one round to the next, so the last round's
+    is the longest.  Its waits are written into ``waits``, and the heap
+    comes back as the sorted ``servers`` largest of itself and the
+    prefix's departures, which is a valid heap.
     """
-    dep = a + s
-    if not (dep > a).all():
-        return 0, free
-    pool = np.sort(np.concatenate((free, dep)))
-    late = pool[:a.size] > a
-    first = int(late.argmax())
-    taken = first if late[first] else a.size
+    heap = np.array(free)
+    d = a + s
+    limit = _CROWD * a.size
+    for _ in range(_ROUNDS):
+        taken, pool, after, unsettled = _proven_prefix(a, s, heap, d)
+        if taken == a.size or unsettled > limit:
+            break
+        limit = _STALL * unsettled
+        d = after
+    w = waits[:taken]
+    np.subtract(pool[:taken], a[:taken], out=w)
+    np.maximum(w, 0.0, out=w)
+    w += 0.0  # -0.0 (t = -0.0 at an arrival of 0.0) becomes the loop's 0.0
     if taken < a.size:
-        pool = np.sort(np.concatenate((free, dep[:taken])))
-    return taken, pool[-len(free):].tolist()
+        pool = np.sort(np.partition(np.concatenate((heap, after[:taken])), taken)[taken:])
+    return taken, pool[-heap.size:].tolist()
+
+
+def _proven_prefix(
+    a: np.ndarray, s: np.ndarray, heap: np.ndarray, d: np.ndarray
+) -> tuple[int, np.ndarray, np.ndarray, int]:
+    """One fixed-point round from the departure guess ``d``, and the prefix it proves.
+
+    With ``pool`` the sorted heap and guesses, request k is guessed to
+    find a free server at ``t[k] = pool[k]`` and to depart at
+    ``after[k] = max(a[k], t[k]) + s[k]``.  The first ``taken`` requests
+    are proven to be the heap loop's, whatever ``d`` is, when each of
+    them
+
+    * did not move: ``after[k] == d[k]``;
+    * departs strictly after the free time it found: ``d[k] > t[k]``;
+
+    and every guess from the first request that fails either test on is
+    above ``pool[taken - 1]``.  By induction on k: if requests 0..k-1
+    are the loop's, every guess from k on is above ``pool[k]``, so
+    ``pool[k]`` is the (k+1)-th smallest of the heap and their
+    departures, the loop's ``free[0]``, and request k starts and departs
+    as in the loop.  Returns ``taken``, ``pool``, the next guess and how
+    many requests failed a test.  In the next guess, a request whose own
+    guess was at or below ``t[k]`` starts from ``pool[k + 1]``: its own
+    departure never counts toward its start, and without that a short
+    service creeps up by ``s[k]`` a round.
+    """
+    pool = np.sort(np.concatenate((heap, d)))
+    t = pool[:a.size]
+    after = np.maximum(a, t)
+    after += s
+    own = d <= t
+    bad = after != d
+    bad |= own
+    first = int(bad.argmax())
+    if not bad[first]:
+        return a.size, pool, after, 0
+    own = own.nonzero()[0]
+    after[own] = np.maximum(a[own], pool[own + 1]) + s[own]
+    taken = int(pool[:first].searchsorted(d[first:].min()))
+    return taken, pool, after, int(np.count_nonzero(bad))
 
 
 def _lindley_single(a: np.ndarray, s: np.ndarray) -> np.ndarray:

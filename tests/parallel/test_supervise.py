@@ -50,6 +50,14 @@ def sleep_forever(x):
     return x
 
 
+def stall_on(x, bad):
+    """Task ``bad`` outlasts a 0.3 s timeout by far, yet ends if no one
+    enforces it."""
+    if x == bad:
+        time.sleep(5.0)
+    return x
+
+
 def crash_hard(x):
     os._exit(41)
 
@@ -204,6 +212,27 @@ class TestTimeout:
     def test_timeout_fail_fast_raises(self):
         with pytest.raises(ParallelTaskError, match="timed out"):
             run_tasks(sleep_forever, [(0,), (1,)], workers=2, timeout=0.3)
+
+    def test_lone_task_timeout_enforced(self):
+        """One task at workers=2 still runs in a worker, so a stall ends
+        as timed-out instead of holding the caller."""
+        t0 = time.monotonic()
+        out = run_tasks(stall_on, [(0, 0)], workers=2, timeout=0.3, salvage=True)
+        assert out[0].status == "timed-out"
+        assert time.monotonic() - t0 < 4.0
+
+    def test_resume_with_one_task_left_enforces_timeout(self, tmp_path):
+        """A journal resume that leaves one task to run keeps its timeout."""
+        tasks = [(i, 2) for i in range(3)]
+        with RunJournal(tmp_path / "j", scope="lone") as journal:
+            run_tasks(stall_on, tasks[:2], workers=2, journal=journal)
+        with RunJournal(tmp_path / "j", scope="lone") as journal:
+            t0 = time.monotonic()
+            out = run_tasks(stall_on, tasks, workers=2, timeout=0.3,
+                            salvage=True, journal=journal)
+        assert [o.status for o in out] == ["ok", "ok", "timed-out"]
+        assert [o.from_journal for o in out] == [True, True, False]
+        assert time.monotonic() - t0 < 4.0
 
     def test_serial_timeout_warns_and_skips_enforcement(self):
         with pytest.warns(RuntimeWarning, match="not enforced") as record:

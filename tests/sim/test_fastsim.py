@@ -1,6 +1,7 @@
 """Tests for the vectorized Kiefer-Wolfowitz fast path."""
 
 import heapq
+import itertools
 from types import SimpleNamespace
 
 import numpy as np
@@ -57,6 +58,33 @@ def gg_workload(arrivals, rho, servers, n, seed, mu=13.0):
         "bursty": lambda: rng.gamma(0.25, 4.0 / rate, n),
     }[arrivals]()
     return np.cumsum(gaps), rng.exponential(1.0 / mu, n)
+
+
+def count_loop_steps(monkeypatch):
+    """Count the heap loop's ``heapreplace`` calls inside fastsim."""
+    calls = 0
+
+    def counting_replace(heap, item):
+        nonlocal calls
+        calls += 1
+        return heapq.heapreplace(heap, item)
+
+    monkeypatch.setattr(fastsim, "heapq", SimpleNamespace(heapreplace=counting_replace))
+    return lambda: calls
+
+
+def loop_from(heap, a, s):
+    """The heap loop from the free times ``heap``: the free time each
+    request finds and its departure."""
+    free = sorted(heap)
+    found, departs = [], []
+    for ai, si in zip(a, s, strict=True):
+        t = free[0]
+        end = (t if t > ai else ai) + si
+        found.append(t)
+        departs.append(end)
+        heapq.heapreplace(free, end)
+    return found, departs
 
 
 class TestFcfsQueue:
@@ -134,7 +162,7 @@ class TestFcfsQueue:
 
 
 class TestNoWaitFastForward:
-    """The NumPy fast-forward leaves every wait the heap loop computes unchanged."""
+    """The NumPy vector phase leaves every wait the heap loop computes unchanged."""
 
     @pytest.mark.parametrize("servers", [2, 8, 40])
     @pytest.mark.parametrize("arrivals", ["poisson", "deterministic", "bursty"])
@@ -197,36 +225,92 @@ class TestNoWaitFastForward:
         else:
             servers = 2
             a, s = np.arange(50_000) * 0.5, np.ones(50_000)
-        calls = 0
-
-        def counting_replace(heap, item):
-            nonlocal calls
-            calls += 1
-            return heapq.heapreplace(heap, item)
-
-        monkeypatch.setattr(fastsim, "heapq", SimpleNamespace(heapreplace=counting_replace))
+        calls = count_loop_steps(monkeypatch)
         waits = simulate_fcfs_queue(a, s, servers)
-        assert calls < 0.05 * a.size
+        assert calls() < 0.05 * a.size
         assert waits.tobytes() == heap_loop_waits(a, s, servers).tobytes()
 
     def test_busy_queue_runs_the_loop(self, monkeypatch):
-        """At rho = 0.5 with c = 8 the scalar phase takes nearly every
-        request, most of them on its no-wait branch, and still computes
-        the heap loop's waits."""
+        """At rho = 0.75 with c = 8 a third of the requests wait in long
+        busy periods, so the scalar phase takes nearly every request, and
+        still computes the heap loop's waits."""
         servers = 8
-        a, s = gg_workload("poisson", 0.5, servers, 50_000, seed=1)
-        calls = 0
-
-        def counting_replace(heap, item):
-            nonlocal calls
-            calls += 1
-            return heapq.heapreplace(heap, item)
-
-        monkeypatch.setattr(fastsim, "heapq", SimpleNamespace(heapreplace=counting_replace))
+        a, s = gg_workload("poisson", 0.75, servers, 50_000, seed=1)
+        calls = count_loop_steps(monkeypatch)
         waits = simulate_fcfs_queue(a, s, servers)
-        assert calls > 0.9 * a.size
-        assert 0.0 < (waits > 0).mean() < 0.1
+        assert calls() > 0.9 * a.size
+        assert 0.2 < (waits > 0).mean() < 0.5
         assert waits.tobytes() == heap_loop_waits(a, s, servers).tobytes()
+
+    @pytest.mark.parametrize(("servers", "rho"), [(8, 0.4), (40, 0.75)])
+    def test_sparse_waits_skip_the_loop(self, servers, rho, monkeypatch):
+        """Queues where a few percent of the requests wait are settled by
+        the fixed-point rounds, waits included: the loop took 53% and 41%
+        of these requests when the vector phase stopped at the first wait."""
+        a, s = gg_workload("poisson", rho, servers, 50_000, seed=1)
+        calls = count_loop_steps(monkeypatch)
+        waits = simulate_fcfs_queue(a, s, servers)
+        assert (waits > 0).mean() > 0.01
+        assert calls() < 0.1 * a.size
+        assert waits.tobytes() == heap_loop_waits(a, s, servers).tobytes()
+
+    def test_absorbed_service_goes_to_the_loop(self):
+        """The third request's guessed departure rounds to its own guessed
+        start, 2**21, so it did not move in round 1; it really waits until
+        2**22 for one of the first two."""
+        a = np.array([0.0, 0.0, 2.0**21 - 2.0**-32])
+        s = np.array([2.0**22, 2.0**22, 1.5e-10])
+        taken, _, _, _ = fastsim._proven_prefix(a, s, np.zeros(2), a + s)
+        assert taken == 2
+        waits = simulate_fcfs_queue(a, s, 2)
+        assert waits.tolist() == [0.0, 0.0, 2.0**21]
+        assert waits.tobytes() == heap_loop_waits(a, s, 2).tobytes()
+
+
+class TestProvenPrefix:
+    """The acceptance rule of one fixed-point round, as a pure function of
+    ``(a, s, heap, d)``: whatever the guess ``d``, the prefix it accepts
+    is the heap loop's."""
+
+    def test_exhaustive_lattice_matches_the_loop(self):
+        """Every case on a small lattice: non-decreasing arrivals in
+        {0, 1}, services in {0, 1}, any heap of 1 or 2 free times in
+        {0, 1, 2} and any guess in {0, ..., 3}, for 1 to 3 requests.
+        Ties, zero services and guesses on either side of the truth are
+        everywhere; each rule with one of its tests weakened accepts a
+        wrong prefix here."""
+        cases = whole = part = waited = 0
+        for servers, m in itertools.product((1, 2), (1, 2, 3)):
+            for a in itertools.combinations_with_replacement((0.0, 1.0), m):
+                for s in itertools.product((0.0, 1.0), repeat=m):
+                    for heap in itertools.combinations_with_replacement((0.0, 1.0, 2.0), servers):
+                        found, departs = loop_from(heap, a, s)
+                        for d in itertools.product((0.0, 1.0, 2.0, 3.0), repeat=m):
+                            taken, pool, after, _ = fastsim._proven_prefix(
+                                np.array(a), np.array(s), np.array(heap), np.array(d)
+                            )
+                            assert pool[:taken].tolist() == found[:taken], (a, s, heap, d)
+                            assert after[:taken].tolist() == departs[:taken], (a, s, heap, d)
+                            cases += 1
+                            whole += taken == m
+                            part += 0 < taken < m
+                            waited += sum(t > ai for t, ai in zip(found[:taken], a))
+        assert cases == 20_304
+        # the sweep proves whole blocks, strict prefixes and waits
+        assert whole > 50 and part > 500 and waited > 200
+
+    @pytest.mark.parametrize("servers", [2, 8, 40])
+    def test_true_departures_are_accepted_whole(self, servers):
+        """Guessing the loop's own departures proves a block with waits and
+        no absorbed service in one round."""
+        a, s = gg_workload("poisson", 0.9, servers, 2_000, seed=servers)
+        found, departs = loop_from([0.0] * servers, a.tolist(), s.tolist())
+        assert np.mean(np.array(found) > a) > 0.1
+        taken, pool, after, unsettled = fastsim._proven_prefix(
+            a, s, np.zeros(servers), np.array(departs)
+        )
+        assert (taken, unsettled) == (a.size, 0)
+        assert after.tobytes() == np.array(departs).tobytes()
 
 
 class TestSystems:
