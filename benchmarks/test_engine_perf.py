@@ -13,6 +13,7 @@ Two guarantees from the engine overhaul, asserted on every run:
   model within the cross-validation tolerances used by the unit tests
   (mean wait rel 0.07, p95 wait rel 0.1).
 
+Each engine's time is the fastest of three alternating passes.
 Measured numbers are written to ``BENCH_engine.json`` at the repo root
 so CI tracks the trajectory across commits (the ``engine-bench`` job
 uploads it as an artifact).
@@ -35,6 +36,8 @@ from repro.queueing.mmk import MMk
 from repro.sim.fastsim import simulate_fcfs_queue
 
 REQUESTS_PER_SITE = 6_000
+#: Alternating timed passes per engine; each engine reports its fastest.
+PASSES = 3
 SPEEDUP_GATE = 3.0
 SPEEDUP_TARGET = 10.0
 BENCH_PATH = Path(__file__).resolve().parents[1] / "BENCH_engine.json"
@@ -64,7 +67,12 @@ def _flush_payload() -> None:
 
 @pytest.fixture(scope="module")
 def grid_timings():
-    """One timed DES + fastsim sweep over the Figure-7 grid."""
+    """Timed DES and fastsim sweeps over the Figure-7 grid.
+
+    The engines alternate for :data:`PASSES` passes and each keeps its
+    fastest pass, so a slow phase of the host inflates neither engine
+    alone and the recorded speedup moves with the code.
+    """
     rates = _fig7_grid()
     des = EdgeCloudComparator(
         TYPICAL_CLOUD, requests_per_site=REQUESTS_PER_SITE, seed=2021, engine="des"
@@ -72,18 +80,21 @@ def grid_timings():
     fastsim = EdgeCloudComparator(
         TYPICAL_CLOUD, requests_per_site=REQUESTS_PER_SITE, seed=2021, engine="fastsim"
     )
-    t0 = time.perf_counter()
-    des_sweep = des.sweep(rates)
-    t1 = time.perf_counter()
-    fastsim_sweep = fastsim.sweep(rates)
-    t2 = time.perf_counter()
+    seconds_des = seconds_fastsim = float("inf")
+    for _ in range(PASSES):
+        t0 = time.perf_counter()
+        des_sweep = des.sweep(rates)
+        t1 = time.perf_counter()
+        fastsim_sweep = fastsim.sweep(rates)
+        t2 = time.perf_counter()
+        seconds_des = min(seconds_des, t1 - t0)
+        seconds_fastsim = min(seconds_fastsim, t2 - t1)
     requests = _requests_per_grid_pass(rates)
-    seconds_des = t1 - t0
-    seconds_fastsim = t2 - t1
     _PAYLOAD["figure7_grid"] = {
         "sweep_points": len(rates),
         "requests_per_site": REQUESTS_PER_SITE,
         "requests_per_pass": requests,
+        "passes": PASSES,
         "seconds_des": round(seconds_des, 3),
         "seconds_fastsim": round(seconds_fastsim, 3),
         "requests_per_sec_des": round(requests / seconds_des, 1),
@@ -93,7 +104,7 @@ def grid_timings():
     _flush_payload()
     print(
         f"\nengine speedup: {_PAYLOAD['figure7_grid']['speedup']}x "
-        f"(DES {seconds_des:.2f}s, fastsim {seconds_fastsim:.2f}s, "
+        f"(best of {PASSES}: DES {seconds_des:.2f}s, fastsim {seconds_fastsim:.2f}s, "
         f"{requests} requests/pass) -> {BENCH_PATH.name}"
     )
     return des_sweep, fastsim_sweep

@@ -15,17 +15,16 @@ Two front-ends feed :func:`repro.campaign.spec.compile_campaign`:
   path→line map, so schema issues render as
   ``campaign.yaml:14: scenarios[3].rate_per_site: must be > 0``.
 
-Loading never executes document content: scalars are resolved by their
-implicit tag against a fixed table (null/bool/int/float/str) — there is
-deliberately no object construction, no anchors-to-Python types, no
-``eval`` anywhere on this path.
+Loading never executes document content: a scalar with a core tag
+(null/bool/int/float/str) is typed by PyYAML's safe constructor, exactly
+as ``yaml.safe_load`` would type it; every other scalar (a timestamp,
+say) keeps its source text.  Collections are built here, so no tag can
+construct a Python object and nothing is ``eval``-ed on this path.
 """
 
 from __future__ import annotations
 
 import json
-import math
-import re
 from pathlib import Path
 from typing import Any
 
@@ -44,44 +43,33 @@ def yaml_available() -> bool:
     return _yaml is not None
 
 
-# Implicit-tag scalar resolution (the YAML 1.1 core schema subset that
-# the safe loader emits).  Patterns mirror pyyaml's resolver for the
-# values that actually appear in campaign files.
-_BOOL = {"true": True, "True": True, "false": False, "False": False}
-_INT_RE = re.compile(r"^[-+]?(0|[1-9][0-9_]*)$")
-_FLOAT_RE = re.compile(
-    r"^[-+]?(\.[0-9]+|[0-9][0-9_]*(\.[0-9_]*)?)([eE][-+]?[0-9]+)?$"
-)
+#: Tags that PyYAML's safe constructor types; other tags keep their text.
+_CORE_TAGS = tuple(f"tag:yaml.org,2002:{t}" for t in ("null", "bool", "int", "float", "str"))
 
 
-def _scalar_value(node: Any) -> Any:
-    tag = node.tag
-    text = node.value
-    if tag.endswith(":null"):
-        return None
-    if tag.endswith(":bool"):
-        return _BOOL.get(text, text.lower() in ("yes", "on"))
-    if tag.endswith(":int"):
-        return int(text.replace("_", ""), 0) if text.lower().startswith(("0x", "0o", "-0x", "-0o")) else int(text.replace("_", ""))
-    if tag.endswith(":float"):
-        low = text.lower().replace("_", "")
-        if low.endswith(".inf"):
-            return -math.inf if low.startswith("-") else math.inf
-        if low.endswith(".nan"):
-            return math.nan
-        return float(low)
-    return text
+def _scalar_value(node: Any, constructor: Any, path: str,
+                  issues: list[ValidationIssue]) -> Any:
+    if node.tag not in _CORE_TAGS:
+        return node.value
+    try:
+        return constructor.construct_object(node)
+    except (ValueError, KeyError):  # an explicit tag on text it cannot read
+        issues.append(ValidationIssue(
+            path, f"{node.value!r} is not a valid {node.tag.rsplit(':', 1)[1]}",
+            node.start_mark.line + 1))
+        return node.value
 
 
 def _convert_node(node: Any, path: str, lines: dict[str, int],
-                  issues: list[ValidationIssue]) -> Any:
+                  issues: list[ValidationIssue], constructor: Any) -> Any:
     """Convert one composed YAML node, recording line numbers by path."""
     lines.setdefault(path, node.start_mark.line + 1)
     if _yaml is not None and isinstance(node, _yaml.ScalarNode):
-        return _scalar_value(node)
+        return _scalar_value(node, constructor, path, issues)
     if _yaml is not None and isinstance(node, _yaml.SequenceNode):
         return [
-            _convert_node(child, f"{path}[{i}]" if path else f"[{i}]", lines, issues)
+            _convert_node(child, f"{path}[{i}]" if path else f"[{i}]", lines, issues,
+                          constructor)
             for i, child in enumerate(node.value)
         ]
     if _yaml is not None and isinstance(node, _yaml.MappingNode):
@@ -92,14 +80,14 @@ def _convert_node(node: Any, path: str, lines: dict[str, int],
                     path, "mapping keys must be plain scalars",
                     key_node.start_mark.line + 1))
                 continue
-            key = _scalar_value(key_node)
+            key = _scalar_value(key_node, constructor, path, issues)
             key_path = f"{path}.{key}" if path else str(key)
             if key in out:
                 issues.append(ValidationIssue(
                     key_path, f"duplicate mapping key {key!r}",
                     key_node.start_mark.line + 1))
             lines.setdefault(key_path, key_node.start_mark.line + 1)
-            out[key] = _convert_node(value_node, key_path, lines, issues)
+            out[key] = _convert_node(value_node, key_path, lines, issues, constructor)
         return out
     issues.append(ValidationIssue(  # pragma: no cover - exotic node kinds
         path, f"unsupported YAML node {type(node).__name__}",
@@ -131,7 +119,7 @@ def _parse_yaml(text: str, source: str) -> tuple[Any, dict[str, int]]:
             "parse", [ValidationIssue("", "empty document")], source)
     lines: dict[str, int] = {}
     issues: list[ValidationIssue] = []
-    data = _convert_node(node, "", lines, issues)
+    data = _convert_node(node, "", lines, issues, _yaml.SafeLoader(""))
     if issues:
         raise CampaignValidationError("parse", issues, source)
     return data, lines

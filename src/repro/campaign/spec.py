@@ -259,49 +259,71 @@ class ScenarioSpec:
         )
 
     def to_mapping(self) -> dict[str, Any]:
-        """Canonical JSON-safe mapping (full form, stable key order)."""
-        out: dict[str, Any] = {"name": self.name}
-        if self.rtt is not None:
-            out["rtt"] = self.rtt
-        else:
-            out["cloud_rtt_ms"] = self.cloud_rtt_ms
-            out["edge_rtt_ms"] = self.edge_rtt_ms
-        out["arrival"] = self.arrival
-        if self.arrival == "bursty":
-            out["arrival_cv2"] = self.arrival_cv2
-        out["service_cv2"] = self.service_cv2
-        out["sites"] = self.sites
-        out["machines_per_site"] = self.machines_per_site
-        if self.rate_per_site is not None:
-            out["rate_per_site"] = self.rate_per_site
-        if self.utilization is not None:
-            out["utilization"] = self.utilization
-        out["duration"] = self.duration
-        out["warmup_fraction"] = self.warmup_fraction
-        out["discipline"] = self.discipline
-        if self.discipline == "codel":
-            out["codel_target"] = self.codel_target
-        if self.queue_capacity is not None:
-            out["queue_capacity"] = self.queue_capacity
-        out["admission"] = self.admission
-        if self.admission == "occupancy":
-            out["admission_limit"] = self.admission_limit
-        if self.admission == "aimd":
-            out["latency_target"] = self.latency_target
-        out["resilience"] = self.resilience
-        if self.resilience != "none":
-            out["client_timeout"] = self.client_timeout
-            out["deadline"] = self.deadline
-            out["max_attempts"] = self.max_attempts
-        if self.failures:
-            out["failures"] = [
-                {"start": w.start, "duration": w.duration}
-                | ({} if w.sites is None else {"sites": list(w.sites)})
-                for w in self.failures
-            ]
-        if self.seed is not None:
-            out["seed"] = self.seed
+        """Canonical JSON-safe mapping (full form, stable key order).
+
+        Fields keep their declaration order.  A field is left out when
+        it is unset (``None``, no outage windows) or when the scenario's
+        axes do not use it (:data:`_USED_WHEN`), so a value that cannot
+        change the run never changes the campaign digest either.
+        """
+        out: dict[str, Any] = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            used = _USED_WHEN.get(f.name)
+            if value is None or value == () or (used and getattr(self, used[0]) not in used[1]):
+                continue
+            if isinstance(value, tuple):  # the outage windows
+                value = [{"start": w.start, "duration": w.duration}
+                         | ({} if w.sites is None else {"sites": list(w.sites)})
+                         for w in value]
+            out[f.name] = value
         return out
+
+
+#: The rule of every scalar scenario field, declared once: the allowed
+#: values of an axis, or the :func:`_check_number` bounds of a number.
+#: A number without ``integer`` is stored as a float.
+_SCALAR_FIELDS: dict[str, tuple[str, ...] | dict[str, Any]] = {
+    "rtt": tuple(RTT_PRESETS),
+    "cloud_rtt_ms": {"lo": 0.0, "lo_open": True},
+    "edge_rtt_ms": {"lo": 0.0},
+    "arrival": ARRIVALS,
+    "arrival_cv2": {"lo": 1.0, "lo_open": True},
+    "service_cv2": {"lo": 0.0},
+    "sites": {"lo": 1, "integer": True},
+    "machines_per_site": {"lo": 1, "integer": True},
+    "rate_per_site": {"lo": 0.0, "lo_open": True},
+    "utilization": {"lo": 0.0, "hi": 1.0, "lo_open": True, "hi_open": True},
+    "duration": {"lo": 0.0, "lo_open": True},
+    "warmup_fraction": {"lo": 0.0, "hi": 1.0, "hi_open": True},
+    "discipline": DISCIPLINES,
+    "codel_target": {"lo": 0.0, "lo_open": True},
+    "queue_capacity": {"lo": 0, "integer": True},
+    "admission": ADMISSIONS,
+    "admission_limit": {"lo": 0.0, "lo_open": True},
+    "latency_target": {"lo": 0.0, "lo_open": True},
+    "resilience": RESILIENCE_MODES,
+    "client_timeout": {"lo": 0.0, "lo_open": True},
+    "deadline": {"lo": 0.0, "lo_open": True},
+    "max_attempts": {"lo": 1, "integer": True},
+    "seed": {"lo": 0, "integer": True},
+}
+
+#: Scalar fields that also accept null, which leaves them unset.
+_NULLABLE = frozenset({"queue_capacity", "seed"})
+
+#: Fields used only under some axis values: field -> (axis, values).
+_USED_WHEN: dict[str, tuple[str, tuple[str | None, ...]]] = {
+    "cloud_rtt_ms": ("rtt", (None,)),
+    "edge_rtt_ms": ("rtt", (None,)),
+    "arrival_cv2": ("arrival", ("bursty",)),
+    "codel_target": ("discipline", ("codel",)),
+    "admission_limit": ("admission", ("occupancy",)),
+    "latency_target": ("admission", ("aimd",)),
+    "client_timeout": ("resilience", ("retry", "retry+breaker")),
+    "deadline": ("resilience", ("retry", "retry+breaker")),
+    "max_attempts": ("resilience", ("retry", "retry+breaker")),
+}
 
 
 @dataclass(frozen=True)
@@ -413,10 +435,19 @@ def _check_number(check: _Check, path: str, value: Any, *, lo: float | None = No
     return True
 
 
-def _check_enum(check: _Check, path: str, value: Any, allowed: tuple[str, ...]) -> bool:
-    if not isinstance(value, str) or value not in allowed:
-        check.add(path, f"must be one of {list(allowed)}, got {value!r}")
+def _check_scalar(check: _Check, path: str, key: str, value: Any,
+                  kwargs: dict[str, Any]) -> bool:
+    """Check one field against its :data:`_SCALAR_FIELDS` rule; keep it if valid."""
+    rule = _SCALAR_FIELDS[key]
+    if isinstance(rule, tuple):
+        if not isinstance(value, str) or value not in rule:
+            check.add(_join(path, key), f"must be one of {list(rule)}, got {value!r}")
+            return False
+    elif not _check_number(check, _join(path, key), value, **rule):
         return False
+    elif not rule.get("integer"):
+        value = float(value)
+    kwargs[key] = value
     return True
 
 
@@ -447,8 +478,7 @@ def _schema_scenario(check: _Check, raw: Any, path: str) -> dict[str, Any] | Non
         kwargs["name"] = name
 
     if "rtt" in raw:
-        if _check_enum(check, _join(path, "rtt"), raw["rtt"], tuple(RTT_PRESETS)):
-            kwargs["rtt"] = raw["rtt"]
+        if _check_scalar(check, path, "rtt", raw["rtt"], kwargs):
             kwargs["cloud_rtt_ms"] = RTT_PRESETS[raw["rtt"]]
             kwargs["edge_rtt_ms"] = 1.0
         if "cloud_rtt_ms" in raw or "edge_rtt_ms" in raw:
@@ -460,80 +490,13 @@ def _schema_scenario(check: _Check, raw: Any, path: str) -> dict[str, Any] | Non
         if "cloud_rtt_ms" not in raw:
             check.add(_join(path, "cloud_rtt_ms"),
                       "cloud_rtt_ms is required with explicit RTTs")
-        else:
-            if _check_number(check, _join(path, "cloud_rtt_ms"), raw["cloud_rtt_ms"],
-                             lo=0.0, lo_open=True):
-                kwargs["cloud_rtt_ms"] = float(raw["cloud_rtt_ms"])
-        if "edge_rtt_ms" in raw:
-            if _check_number(check, _join(path, "edge_rtt_ms"), raw["edge_rtt_ms"], lo=0.0):
-                kwargs["edge_rtt_ms"] = float(raw["edge_rtt_ms"])
 
-    if "arrival" in raw and _check_enum(check, _join(path, "arrival"), raw["arrival"], ARRIVALS):
-        kwargs["arrival"] = raw["arrival"]
-    if "arrival_cv2" in raw and _check_number(
-            check, _join(path, "arrival_cv2"), raw["arrival_cv2"], lo=1.0, lo_open=True):
-        kwargs["arrival_cv2"] = float(raw["arrival_cv2"])
-    if "service_cv2" in raw and _check_number(
-            check, _join(path, "service_cv2"), raw["service_cv2"], lo=0.0):
-        kwargs["service_cv2"] = float(raw["service_cv2"])
-    if "sites" in raw and _check_number(check, _join(path, "sites"), raw["sites"],
-                                        lo=1, integer=True):
-        kwargs["sites"] = raw["sites"]
-    if "machines_per_site" in raw and _check_number(
-            check, _join(path, "machines_per_site"), raw["machines_per_site"],
-            lo=1, integer=True):
-        kwargs["machines_per_site"] = raw["machines_per_site"]
-    if "rate_per_site" in raw and _check_number(
-            check, _join(path, "rate_per_site"), raw["rate_per_site"], lo=0.0, lo_open=True):
-        kwargs["rate_per_site"] = float(raw["rate_per_site"])
-    if "utilization" in raw and _check_number(
-            check, _join(path, "utilization"), raw["utilization"],
-            lo=0.0, hi=1.0, lo_open=True, hi_open=True):
-        kwargs["utilization"] = float(raw["utilization"])
-    if "duration" in raw and _check_number(check, _join(path, "duration"),
-                                           raw["duration"], lo=0.0, lo_open=True):
-        kwargs["duration"] = float(raw["duration"])
-    if "warmup_fraction" in raw and _check_number(
-            check, _join(path, "warmup_fraction"), raw["warmup_fraction"],
-            lo=0.0, hi=1.0, hi_open=True):
-        kwargs["warmup_fraction"] = float(raw["warmup_fraction"])
-    if "discipline" in raw and _check_enum(check, _join(path, "discipline"),
-                                           raw["discipline"], DISCIPLINES):
-        kwargs["discipline"] = raw["discipline"]
-    if "codel_target" in raw and _check_number(
-            check, _join(path, "codel_target"), raw["codel_target"], lo=0.0, lo_open=True):
-        kwargs["codel_target"] = float(raw["codel_target"])
-    if "queue_capacity" in raw and raw["queue_capacity"] is not None:
-        if _check_number(check, _join(path, "queue_capacity"), raw["queue_capacity"],
-                         lo=0, integer=True):
-            kwargs["queue_capacity"] = raw["queue_capacity"]
-    if "admission" in raw and _check_enum(check, _join(path, "admission"),
-                                          raw["admission"], ADMISSIONS):
-        kwargs["admission"] = raw["admission"]
-    if "admission_limit" in raw and _check_number(
-            check, _join(path, "admission_limit"), raw["admission_limit"],
-            lo=0.0, lo_open=True):
-        kwargs["admission_limit"] = float(raw["admission_limit"])
-    if "latency_target" in raw and _check_number(
-            check, _join(path, "latency_target"), raw["latency_target"],
-            lo=0.0, lo_open=True):
-        kwargs["latency_target"] = float(raw["latency_target"])
-    if "resilience" in raw and _check_enum(check, _join(path, "resilience"),
-                                           raw["resilience"], RESILIENCE_MODES):
-        kwargs["resilience"] = raw["resilience"]
-    if "client_timeout" in raw and _check_number(
-            check, _join(path, "client_timeout"), raw["client_timeout"],
-            lo=0.0, lo_open=True):
-        kwargs["client_timeout"] = float(raw["client_timeout"])
-    if "deadline" in raw and _check_number(check, _join(path, "deadline"),
-                                           raw["deadline"], lo=0.0, lo_open=True):
-        kwargs["deadline"] = float(raw["deadline"])
-    if "max_attempts" in raw and _check_number(
-            check, _join(path, "max_attempts"), raw["max_attempts"], lo=1, integer=True):
-        kwargs["max_attempts"] = raw["max_attempts"]
-    if "seed" in raw and raw["seed"] is not None and _check_number(
-            check, _join(path, "seed"), raw["seed"], lo=0, integer=True):
-        kwargs["seed"] = raw["seed"]
+    for key in _SCALAR_FIELDS:
+        # A preset settles the whole RTT group (checked just above).
+        if key not in raw or ("rtt" in raw and key in ("rtt", "cloud_rtt_ms", "edge_rtt_ms")):
+            continue
+        if raw[key] is not None or key not in _NULLABLE:
+            _check_scalar(check, path, key, raw[key], kwargs)
 
     if "failures" in raw:
         windows = raw["failures"]
@@ -664,8 +627,7 @@ def _expand_matrix_block(block: Any, index: int, check: _Check,
     axis_items: list[tuple[str, list[Any]]] = []
     for axis, values in axes.items():
         apath = _join(_join(path, "axes"), str(axis))
-        if not isinstance(axis, str) or (axis not in _SCENARIO_FIELDS or axis in
-                                         ("name", "seed", "failures")):
+        if axis not in _SCALAR_FIELDS or axis == "seed":
             check.add(apath, f"axis must name a scalar scenario field, got {axis!r}")
             return []
         if not isinstance(values, list) or not values:

@@ -2,9 +2,9 @@
 
 Every queueing model in :mod:`repro.queueing` exposes the same small
 surface (arrival rate, service rate, server count, utilization, mean
-waiting time and mean response time) so the inversion analysis in
-:mod:`repro.core.inversion` can treat exact and approximate models
-uniformly.
+waiting time and mean response time), written down as the
+:class:`QueueModel` protocol, so exact and approximate models are
+interchangeable wherever only that surface is read.
 """
 
 from __future__ import annotations

@@ -2,10 +2,12 @@
 
 The paper's workload generator fires requests at a configured rate (or
 replays a trace) regardless of outstanding responses — an *open-loop*
-driver, which is what exposes queueing delay honestly.  Two sources:
+driver, which is what exposes queueing delay honestly.  Three sources:
 
-* :class:`OpenLoopSource` — renewal arrivals from an
-  :class:`~repro.workload.arrivals.ArrivalProcess`.
+* :class:`OpenLoopSource` — renewal arrivals whose gaps are drawn from
+  a :class:`~repro.queueing.distributions.Distribution`.
+* :class:`ClosedLoopSource` — a fixed user population alternating think
+  time and requests, the self-throttling contrast (ablation A7).
 * :class:`TraceSource` — replays explicit (timestamp, service-time)
   pairs, used for the Azure-trace experiments (Figs 8–10).
 """

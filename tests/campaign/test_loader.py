@@ -1,6 +1,7 @@
 """YAML/JSON loading: parse errors, line-level diagnostics, gating."""
 
 import json
+import math
 
 import pytest
 
@@ -64,6 +65,34 @@ class TestYamlParsing:
                         "e": "text", "f": [1, 2]}
         assert lines["b"] == 2
         assert lines["f[1]"] == 6
+
+    @pytest.mark.parametrize("form", [
+        "TRUE", "True", "yes", "OFF", "0755", "-0755", "0b101", "-0b11", "0x_1F",
+        "1_000", "190:20:30", "190:20:30.15", "-1:30", "1.0e+3", "1e3", ".Inf",
+        "-.inf", ".NaN", "~", "", "0o17", "08", "!!str 12", "!!float 1",
+    ])
+    def test_scalars_typed_as_safe_load_types_them(self, form):
+        text = f"v: {form}\n"
+        got = parse_document(text, fmt="yaml")[0]["v"]
+        want = yaml.safe_load(text)["v"]
+        assert type(got) is type(want)
+        assert got == want or (math.isnan(got) and math.isnan(want))
+
+    def test_other_tags_keep_their_source_text(self):
+        data, _ = parse_document("a: 2001-12-14\nb: !!binary aGk=\n", fmt="yaml")
+        assert data == {"a": "2001-12-14", "b": "aGk="}
+
+    @pytest.mark.parametrize(("form", "message"), [
+        ("!!int abc", "'abc' is not a valid int"),
+        ("!!float x", "'x' is not a valid float"),
+        ("!!bool maybe", "'maybe' is not a valid bool"),
+    ])
+    def test_tagged_unreadable_scalar_is_parse_error(self, form, message):
+        with pytest.raises(CampaignValidationError) as ei:
+            parse_document(f"a: 1\nv: {form}\n", fmt="yaml")
+        assert ei.value.kind == "parse"
+        assert [(i.path, i.message, i.line) for i in ei.value.issues] == [
+            ("v", message, 2)]
 
 
 class TestJsonParsing:

@@ -5,17 +5,33 @@ order-stable, dumps are canonical, and per-scenario seeds are
 bit-identical across re-loads, re-dumps and worker counts.
 """
 
+import hashlib
 import json
+from dataclasses import fields, replace
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.campaign import (
     compile_campaign,
     dump_campaign,
+    load_campaign,
     loads_campaign,
     run_campaign,
 )
 from repro.campaign.executor import run_scenario
+from repro.campaign.spec import (
+    ADMISSIONS,
+    ARRIVALS,
+    DISCIPLINES,
+    RESILIENCE_MODES,
+    RTT_PRESETS,
+    ScenarioSpec,
+)
+
+GOLDEN = Path(__file__).resolve().parents[2] / "scenarios" / "golden" / "campaign.yaml"
 
 #: A deliberately gnarly campaign touching every axis family.
 DOC = {
@@ -130,3 +146,85 @@ class TestRoundTrip:
         s1 = next(s for s in respec.scenarios if s.name == "explicit")
         assert s0 == s1
         assert run_scenario(s0) == run_scenario(s1)
+
+
+class TestCanonicalFormat:
+    """The dump is the campaign's identity: it keys journals and job ids."""
+
+    def test_golden_campaign_digest_is_pinned(self):
+        pytest.importorskip("yaml")
+        assert load_campaign(GOLDEN).digest() == "f69166e2a5e3b1c4"
+
+    def test_golden_dump_key_order_is_pinned(self):
+        pytest.importorskip("yaml")
+        text = json.dumps(dump_campaign(load_campaign(GOLDEN)))
+        assert hashlib.sha256(text.encode()).hexdigest().startswith("1c5baf5cdffdd446")
+
+
+#: Fields a scenario may leave out; they take these defaults.
+DEFAULTS = {f.name: f.default for f in fields(ScenarioSpec)}
+#: Optional fields with a valid value each; most are used under one axis value only.
+OPTIONAL = {
+    "arrival_cv2": 3.0, "codel_target": 0.2, "queue_capacity": 8,
+    "admission_limit": 2.5, "latency_target": 0.4, "client_timeout": 1.0,
+    "deadline": 4.0, "max_attempts": 2, "edge_rtt_ms": 2.0, "seed": 99,
+}
+
+
+@st.composite
+def scenarios(draw):
+    raw = {
+        "name": "s",
+        "arrival": draw(st.sampled_from(ARRIVALS)),
+        "discipline": draw(st.sampled_from(DISCIPLINES)),
+        "admission": draw(st.sampled_from(ADMISSIONS)),
+        "resilience": draw(st.sampled_from(RESILIENCE_MODES)),
+        "duration": 10.0,
+    }
+    raw[draw(st.sampled_from(["utilization", "rate_per_site"]))] = 0.5
+    preset = draw(st.sampled_from([*RTT_PRESETS, None]))
+    if preset is None:
+        raw["cloud_rtt_ms"] = draw(st.floats(1.0, 200.0))
+    else:
+        raw["rtt"] = preset
+    for key, value in OPTIONAL.items():
+        if draw(st.booleans()) and not (key == "edge_rtt_ms" and preset):
+            raw[key] = value
+    if draw(st.booleans()):
+        raw["failures"] = [{"start": 1.0, "duration": 2.0, "sites": [0]}]
+    return raw
+
+
+def used_keys(raw):
+    """The keys ``to_mapping`` must write for a compiled ``raw``."""
+    keys = {"name", "arrival", "service_cv2", "sites", "machines_per_site",
+            "duration", "warmup_fraction", "discipline", "admission",
+            "resilience", "seed"}
+    keys |= {"rtt"} if "rtt" in raw else {"cloud_rtt_ms", "edge_rtt_ms"}
+    keys |= {"utilization", "rate_per_site", "queue_capacity", "failures"} & set(raw)
+    if raw["arrival"] == "bursty":
+        keys.add("arrival_cv2")
+    if raw["discipline"] == "codel":
+        keys.add("codel_target")
+    if raw["admission"] == "occupancy":
+        keys.add("admission_limit")
+    if raw["admission"] == "aimd":
+        keys.add("latency_target")
+    if raw["resilience"] != "none":
+        keys |= {"client_timeout", "deadline", "max_attempts"}
+    return keys
+
+
+class TestRoundTripProperty:
+    @given(raw=scenarios())
+    @settings(max_examples=150, deadline=None)
+    def test_dump_reloads_to_the_same_campaign(self, raw):
+        spec = compile_campaign({"campaign": "p", "seed": 4, "scenarios": [raw]})
+        (scenario,) = spec.scenarios
+        keys = used_keys(raw)
+        assert set(scenario.to_mapping()) == keys
+        respec = compile_campaign(json.loads(json.dumps(dump_campaign(spec))))
+        assert respec.digest() == spec.digest()
+        # Only a value the scenario's axes never read is dropped.
+        dropped = {k: DEFAULTS[k] for k in raw if k not in keys}
+        assert respec.scenarios == (replace(scenario, **dropped),)

@@ -260,3 +260,58 @@ class TestErrorTypes:
         s = ScenarioSpec(name="x")
         with pytest.raises(AttributeError):
             s.name = "y"
+
+
+class TestFieldRules:
+    """One exact schema message per kind of scalar-field rule."""
+
+    @pytest.mark.parametrize(("field", "value", "message"), [
+        ("arrival", "gamma", "must be one of ['poisson', 'deterministic', "
+                             "'uniform', 'bursty'], got 'gamma'"),
+        ("rtt", None, "must be one of ['nearby', 'typical', 'distant', "
+                      "'transcontinental'], got None"),
+        ("duration", 0, "must be > 0, got 0"),
+        ("utilization", 1.0, "must be < 1, got 1.0"),
+        ("service_cv2", -0.5, "must be >= 0, got -0.5"),
+        ("sites", 0, "must be >= 1, got 0"),
+        ("sites", 2.5, "expected an integer, got 2.5"),
+        ("max_attempts", True, "expected an integer, got True"),
+        ("deadline", "6", "expected a number, got '6'"),
+        ("rate_per_site", None, "expected a number, got None"),
+        ("codel_target", float("inf"), "must be finite, got inf"),
+        ("latency_target", float("nan"), "must be finite, got nan"),
+    ])
+    def test_exact_message(self, field, value, message):
+        doc = minimal()
+        doc["scenarios"][0][field] = value
+        with pytest.raises(CampaignValidationError) as ei:
+            compile_campaign(doc)
+        assert ei.value.kind == "schema"
+        assert [(i.path, i.message) for i in ei.value.issues] == [
+            (f"scenarios[0].{field}", message)]
+
+    def test_whole_number_for_a_real_field_is_stored_as_a_float(self):
+        (scenario,) = compile_campaign(minimal()).scenarios
+        compiled = compile_campaign(minimal(scenarios=[
+            {"name": "a", "utilization": 0.5, "duration": 10}])).scenarios[0]
+        assert compiled == scenario
+        assert type(compiled.duration) is float
+
+    def test_null_leaves_a_nullable_field_unset(self):
+        doc = minimal()
+        doc["scenarios"][0].update({"queue_capacity": None, "seed": None})
+        (scenario,) = compile_campaign(doc).scenarios
+        assert scenario.queue_capacity is None
+        assert scenario.seed == scenario_seed(5, "a")  # derived, as when absent
+
+    def test_explicit_rtts_are_not_checked_beside_a_preset(self):
+        doc = minimal()
+        doc["scenarios"][0].update({"rtt": "mars", "edge_rtt_ms": -1})
+        with pytest.raises(CampaignValidationError) as ei:
+            compile_campaign(doc)
+        assert [i.message for i in ei.value.issues] == [
+            "must be one of ['nearby', 'typical', 'distant', 'transcontinental'], "
+            "got 'mars'",
+            "give either a named rtt preset or explicit cloud_rtt_ms/edge_rtt_ms, "
+            "not both",
+        ]

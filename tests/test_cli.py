@@ -111,3 +111,31 @@ class TestFlagNormalization:
                 main([*command.split(), "--resume"])
             assert err.value.code == 2
             assert "--resume requires --checkpoint" in capsys.readouterr().err
+
+
+class TestValidateCommand:
+    """``repro validate`` reads YAML scalars the way PyYAML types them."""
+
+    @pytest.fixture(autouse=True)
+    def _needs_yaml(self):
+        pytest.importorskip("yaml")
+
+    def _campaign(self, tmp_path, **fields):
+        path = tmp_path / "c.yaml"
+        lines = "".join(f"    {key}: {value}\n" for key, value in fields.items())
+        path.write_text(f"campaign: c\nscenarios:\n  - name: a\n{lines}")
+        return path
+
+    def test_binary_integer_validates(self, tmp_path, capsys):
+        from repro.campaign import load_campaign
+
+        path = self._campaign(tmp_path, utilization=0.5, sites="0b11")
+        assert main(["validate", str(path)]) == 0
+        assert "OK" in capsys.readouterr().out
+        assert load_campaign(path).scenarios[0].sites == 3
+
+    def test_uppercase_boolean_is_a_schema_error(self, tmp_path, capsys):
+        path = self._campaign(tmp_path, utilization="TRUE")
+        assert main(["validate", str(path)]) == 4
+        assert "scenarios[0].utilization: expected a number, got True" in (
+            capsys.readouterr().err)
