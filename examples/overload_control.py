@@ -22,16 +22,12 @@ Run:  python examples/overload_control.py
 
 from repro.mitigation.admission import AdaptiveAdmission, AIMDConcurrencyLimit
 from repro.queueing.distributions import Exponential
-from repro.sim import (
-    BrownoutController,
-    CoDelDiscipline,
-    ConstantLatency,
-    EdgeDeployment,
-    EdgeSite,
-    OpenLoopSource,
-    Simulation,
-)
-from repro.stats import summarize_overload
+from repro.sim.client import OpenLoopSource
+from repro.sim.engine import Simulation
+from repro.sim.network import ConstantLatency
+from repro.sim.overload import BrownoutController, CoDelDiscipline
+from repro.sim.topology import EdgeDeployment, EdgeSite
+from repro.stats.overload import summarize_overload
 from repro.workload.service import DNNInferenceModel
 
 RATE = 16.0  # offered load, req/s (saturation is 13)

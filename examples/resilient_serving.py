@@ -19,20 +19,12 @@ Run:  python examples/resilient_serving.py
 """
 
 from repro.queueing.distributions import Exponential
-from repro.sim import (
-    BreakerConfig,
-    CloudDeployment,
-    ConstantLatency,
-    EdgeDeployment,
-    EdgeSite,
-    FailureInjector,
-    HedgePolicy,
-    LossyLatency,
-    OpenLoopSource,
-    ResilientClient,
-    RetryPolicy,
-    Simulation,
-)
+from repro.sim.client import OpenLoopSource
+from repro.sim.engine import Simulation
+from repro.sim.failures import FailureInjector
+from repro.sim.network import ConstantLatency, LossyLatency
+from repro.sim.resilience import BreakerConfig, HedgePolicy, ResilientClient, RetryPolicy
+from repro.sim.topology import CloudDeployment, EdgeDeployment, EdgeSite
 from repro.workload.service import DNNInferenceModel
 
 SITES = 5

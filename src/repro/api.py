@@ -26,9 +26,10 @@ majors and pre-envelope documents (no ``schema_version``) with
 from __future__ import annotations
 
 # -- analytic + scenario layer -----------------------------------------
-from repro.core import cutoff_utilization_exact, cutoff_utilization_tail
 from repro.core.comparator import EdgeCloudComparator
+from repro.core.inversion import cutoff_utilization_exact
 from repro.core.scenarios import TYPICAL_CLOUD, Scenario
+from repro.core.tail import cutoff_utilization_tail
 
 # -- experiments --------------------------------------------------------
 from repro.experiments.config import FAST, FULL, ExperimentConfig

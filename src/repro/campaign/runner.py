@@ -31,12 +31,15 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from collections.abc import Callable
+from typing import TYPE_CHECKING
 
 from repro.campaign.executor import ScenarioRun, scenario_task
 from repro.campaign.spec import CampaignSpec
-from repro.experiments.result import ExperimentResult
 from repro.experiments.store import open_journal
 from repro.parallel import TaskOutcome, resolve_workers, run_tasks
+
+if TYPE_CHECKING:
+    from repro.experiments.result import ExperimentResult
 
 __all__ = [
     "QuarantineRecord",
@@ -161,6 +164,9 @@ class CampaignResult:
 
     def to_experiment_result(self) -> ExperimentResult:
         """Project into the standard experiment envelope (PR 3)."""
+        # Imported here: the experiment registry loads every figure runner.
+        from repro.experiments.result import ExperimentResult
+
         rows = [
             {"scenario": name, "seed": run.seed} | run.metrics
             for name, run in self.runs.items()

@@ -1,76 +1,6 @@
-"""The paper's contribution: inversion analysis, capacity planning, comparator."""
+"""The paper's contribution: inversion analysis, capacity planning, comparator.
 
-from repro.core.capacity import (
-    cloud_peak_capacity,
-    edge_peak_capacity,
-    min_edge_servers,
-    provisioning_penalty,
-    square_root_staffing,
-)
-from repro.core.comparator import ComparisonResult, EdgeCloudComparator, SweepPoint
-from repro.core.cost import CostModel, DeploymentCost, compare_slo_costs, min_servers_for_slo
-from repro.core.placement import PlacementDecision, recommend_placements
-from repro.core.transient import predict_windowed_series, quasi_stationary_latency
-from repro.core.tail import (
-    cutoff_utilization_tail,
-    delta_n_threshold_tail,
-    tail_response_difference,
-)
-from repro.core.inversion import (
-    calibrate_time_unit,
-    cutoff_utilization_exact,
-    cutoff_utilization_paper,
-    delta_n_threshold_gg,
-    delta_n_threshold_mm,
-    delta_n_threshold_skewed,
-    inversion_rate_heterogeneous,
-    is_inverted_mm,
-    mean_wait_difference,
-    response_difference_heterogeneous,
-)
-from repro.core.scenarios import (
-    DISTANT_CLOUD,
-    NEARBY_CLOUD,
-    PAPER_SCENARIOS,
-    TRANSCONTINENTAL_CLOUD,
-    TYPICAL_CLOUD,
-    Scenario,
-)
-
-__all__ = [
-    "delta_n_threshold_mm",
-    "delta_n_threshold_gg",
-    "delta_n_threshold_skewed",
-    "cutoff_utilization_paper",
-    "cutoff_utilization_exact",
-    "calibrate_time_unit",
-    "is_inverted_mm",
-    "mean_wait_difference",
-    "response_difference_heterogeneous",
-    "inversion_rate_heterogeneous",
-    "cloud_peak_capacity",
-    "edge_peak_capacity",
-    "provisioning_penalty",
-    "min_edge_servers",
-    "square_root_staffing",
-    "Scenario",
-    "NEARBY_CLOUD",
-    "TYPICAL_CLOUD",
-    "DISTANT_CLOUD",
-    "TRANSCONTINENTAL_CLOUD",
-    "PAPER_SCENARIOS",
-    "EdgeCloudComparator",
-    "ComparisonResult",
-    "SweepPoint",
-    "CostModel",
-    "DeploymentCost",
-    "compare_slo_costs",
-    "min_servers_for_slo",
-    "cutoff_utilization_tail",
-    "delta_n_threshold_tail",
-    "tail_response_difference",
-    "PlacementDecision",
-    "recommend_placements",
-    "quasi_stationary_latency",
-    "predict_windowed_series",
-]
+Import from the submodules, e.g. ``from repro.core.comparator import
+EdgeCloudComparator``.  This package module re-exports nothing, so the
+comparator loads none of the cost, placement or transient models.
+"""

@@ -46,18 +46,12 @@ from repro.mitigation.admission import (
     StaticConcurrencyLimit,
 )
 from repro.queueing.distributions import Exponential
-from repro.sim import (
-    AdaptiveLIFODiscipline,
-    BrownoutController,
-    CoDelDiscipline,
-    ConstantLatency,
-    EdgeDeployment,
-    EdgeSite,
-    OpenLoopSource,
-    ResilientClient,
-    RetryPolicy,
-    Simulation,
-)
+from repro.sim.client import OpenLoopSource
+from repro.sim.engine import Simulation
+from repro.sim.network import ConstantLatency
+from repro.sim.overload import AdaptiveLIFODiscipline, BrownoutController, CoDelDiscipline
+from repro.sim.resilience import ResilientClient, RetryPolicy
+from repro.sim.topology import EdgeDeployment, EdgeSite
 from repro.stats.overload import OverloadSummary, summarize_overload
 from repro.workload.service import DNNInferenceModel
 

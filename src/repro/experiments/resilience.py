@@ -36,19 +36,12 @@ from repro.experiments.config import ExperimentConfig
 from repro.parallel import run_tasks
 from repro.parallel.seeding import derive_seed
 from repro.queueing.distributions import Exponential
-from repro.sim import (
-    BreakerConfig,
-    CloudDeployment,
-    ConstantLatency,
-    EdgeDeployment,
-    EdgeSite,
-    FailureInjector,
-    LossyLatency,
-    OpenLoopSource,
-    ResilientClient,
-    RetryPolicy,
-    Simulation,
-)
+from repro.sim.client import OpenLoopSource
+from repro.sim.engine import Simulation
+from repro.sim.failures import FailureInjector
+from repro.sim.network import ConstantLatency, LossyLatency
+from repro.sim.resilience import BreakerConfig, ResilientClient, RetryPolicy
+from repro.sim.topology import CloudDeployment, EdgeDeployment, EdgeSite
 from repro.stats.resilience import ResilienceSummary, summarize_resilience
 from repro.workload.service import DNNInferenceModel
 

@@ -340,16 +340,19 @@ def dump_salvage_report(result: Any) -> dict[str, Any]:
 def to_document(obj: Any) -> dict[str, Any]:
     """Dispatch an in-process result object to its enveloped document."""
     from repro.campaign.runner import CampaignResult
-    from repro.experiments.result import ExperimentResult
 
-    if isinstance(obj, ExperimentResult):
-        return dump_experiment_result(obj)
     if isinstance(obj, CampaignResult):
         return dump_campaign_result(obj)
     if isinstance(obj, dict):
         # Already a document: validate the envelope, pass through.
         parse_envelope(obj)
         return obj
+    # Imported last: the experiment registry loads every figure runner,
+    # which the campaign service never needs.
+    from repro.experiments.result import ExperimentResult
+
+    if isinstance(obj, ExperimentResult):
+        return dump_experiment_result(obj)
     raise WireFormatError(
         f"no wire schema for {type(obj).__name__}; serializable results are "
         "ExperimentResult, CampaignResult and enveloped documents"

@@ -1,13 +1,13 @@
 """E12: windowed live telemetry through the E11 admission pulse.
 
 E11's ``admission_pulse`` reports *aggregate* recovery numbers — goodput
-before/during/after a 2× overload pulse.  This experiment replays the
-AIMD-protected variant of the same scenario with the observability layer
-enabled (:mod:`repro.obs`) and reports the run as a *timeline*: one row
-per telemetry window carrying throughput, p50/p95 of completions, the
-refusal taxonomy, station occupancy and the adaptive admission limit —
-the collapse-and-recover trajectory that the aggregate table can only
-imply.
+before/during/after a 2× overload pulse.  This experiment runs the
+AIMD-protected variant of the same scenario, on its own seed, with the
+observability layer enabled (:mod:`repro.obs`) and reports the run as a
+*timeline*: one row per telemetry window carrying throughput, p50/p95
+of completions, the refusal taxonomy, station occupancy and the
+adaptive admission limit — the collapse-and-recover trajectory that
+the aggregate table can only imply.
 
 The run doubles as the acceptance check for span tracing: for every
 served request the recorder's four serving spans (``net.out`` +
@@ -29,7 +29,8 @@ from repro.experiments.overload import _one_site
 from repro.mitigation.admission import AdaptiveAdmission, AIMDConcurrencyLimit
 from repro.obs.spans import SERVING_SPANS
 from repro.queueing.distributions import Exponential
-from repro.sim import OpenLoopSource, Simulation
+from repro.sim.client import OpenLoopSource
+from repro.sim.engine import Simulation
 
 __all__ = ["WindowRow", "PulseTimelineResult", "pulse_timeline", "render_pulse_timeline"]
 
@@ -82,11 +83,13 @@ def pulse_timeline(
 ) -> PulseTimelineResult:
     """E11's AIMD admission pulse, observed live through ``repro.obs``.
 
-    Identical topology, load shape and seed derivation to
-    :func:`repro.experiments.overload.admission_pulse`'s ``aimd`` plan;
-    the only addition is an installed telemetry factory, which is the
-    point — observability composes with an existing experiment without
-    touching its construction code.
+    Identical topology and load shape to
+    :func:`repro.experiments.overload.admission_pulse`'s ``aimd`` plan,
+    with its own random stream: this run seeds ``Simulation(cfg.seed)``,
+    where that plan seeds ``derive_seed(cfg.seed, 2)``, so the two runs
+    draw different requests.  The only addition is an installed
+    telemetry factory, which is the point — observability composes with
+    an existing experiment without touching its construction code.
     """
     pulse_end = pulse_start + pulse_len
     exporter = obs.InMemoryExporter()

@@ -9,36 +9,7 @@
 * :mod:`repro.mitigation.autoscale` — reactive per-site scaling on an
   observed-utilization signal (the paper's "adjusted dynamically"
   remark for time-varying skew).
+
+Import from the submodules, e.g. ``from repro.mitigation.admission
+import AdaptiveAdmission``.  This package module re-exports nothing.
 """
-
-from repro.mitigation.admission import (
-    AdaptiveAdmission,
-    AIMDConcurrencyLimit,
-    ConcurrencyLimit,
-    GradientConcurrencyLimit,
-    OccupancyAdmission,
-    StaticConcurrencyLimit,
-    TokenBucketAdmission,
-)
-from repro.mitigation.autoscale import ReactiveAutoscaler
-from repro.mitigation.geo_lb import GeoLoadBalancer
-from repro.mitigation.offload import HybridDeployment
-from repro.mitigation.predictive import PredictiveAutoscaler
-from repro.mitigation.provisioning import SkewAwarePlan, plan_capacity, rebalance_to_budget
-
-__all__ = [
-    "GeoLoadBalancer",
-    "ReactiveAutoscaler",
-    "PredictiveAutoscaler",
-    "HybridDeployment",
-    "SkewAwarePlan",
-    "plan_capacity",
-    "rebalance_to_budget",
-    "OccupancyAdmission",
-    "TokenBucketAdmission",
-    "ConcurrencyLimit",
-    "StaticConcurrencyLimit",
-    "AIMDConcurrencyLimit",
-    "GradientConcurrencyLimit",
-    "AdaptiveAdmission",
-]

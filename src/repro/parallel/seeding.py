@@ -92,7 +92,7 @@ def derive_seed(base_seed: SeedLike, *path: int) -> int:
     """Child seed at ``path`` collapsed to one non-negative 64-bit int.
 
     For APIs whose contract is an integer seed (``experiment(seed)`` in
-    :func:`repro.stats.replicate`).  Feeding the result back into
+    :func:`repro.stats.replications.replicate`).  Feeding the result back into
     :func:`numpy.random.default_rng` re-enters SeedSequence hashing, so
     the indirection loses no independence.
     """

@@ -15,75 +15,7 @@ reproduction of *The Hidden Cost of the Edge* (SC 2021):
   :math:`P_s` form used in the paper's Lemma 3.2.
 
 All models use SI units: rates in requests/second, times in seconds.
+
+Import from the submodules, e.g. ``from repro.queueing.mmk import MMk``.
+This package module re-exports nothing.
 """
-
-from repro.queueing.base import (
-    QueueModel,
-    ensure_stable,
-    utilization,
-)
-from repro.queueing.distributions import (
-    Deterministic,
-    Distribution,
-    Empirical,
-    Erlang,
-    Exponential,
-    HyperExponential,
-    LogNormal,
-    Pareto,
-    Uniform,
-    fit_two_moments,
-)
-from repro.queueing.ggk import (
-    GG1,
-    GGk,
-    allen_cunneen_wait,
-    bolch_prob_wait,
-    kingman_wait,
-)
-from repro.queueing.mg1 import MG1, mdk_wait
-from repro.queueing.mm1 import MM1
-from repro.queueing.mmck import MMcK
-from repro.queueing.mmk import (
-    MMk,
-    erlang_b,
-    erlang_c,
-    whitt_conditional_wait,
-)
-from repro.queueing.tails import (
-    gg_response_percentile,
-    gg_wait_percentile,
-    gg_wait_tail,
-)
-
-__all__ = [
-    "QueueModel",
-    "ensure_stable",
-    "utilization",
-    "Distribution",
-    "Deterministic",
-    "Empirical",
-    "Erlang",
-    "Exponential",
-    "HyperExponential",
-    "LogNormal",
-    "Pareto",
-    "Uniform",
-    "fit_two_moments",
-    "MM1",
-    "MG1",
-    "mdk_wait",
-    "MMk",
-    "MMcK",
-    "erlang_b",
-    "erlang_c",
-    "whitt_conditional_wait",
-    "GG1",
-    "GGk",
-    "allen_cunneen_wait",
-    "bolch_prob_wait",
-    "kingman_wait",
-    "gg_wait_tail",
-    "gg_wait_percentile",
-    "gg_response_percentile",
-]

@@ -12,12 +12,12 @@ no event objects.  Blocks of requests are settled in NumPy by a few
 fixed-point rounds of that recursion, waits included, and a vector
 check keeps only the prefix it proves equal to the per-request Python
 loop over the heap; busy periods that do not settle go through the loop
-(:func:`_kw_heap`).  Both give the same waits, bit for bit.  One server
-(c = 1) runs the Lindley recursion instead.  On top of the single queue this
-module covers the paper's actual topologies: k independent edge sites
-(:func:`simulate_edge_system`), the cloud central queue
-(:func:`simulate_single_queue_system`), and the cloud behind a
-round-robin or join-shortest-queue load balancer
+(:func:`_kw_heap`).  Both give the same waits, bit for bit, at every
+server count, one included, and the tests pin those waits to the event
+engine's.  On top of the single queue this module covers the paper's
+actual topologies: k independent edge sites (:func:`simulate_edge_system`),
+the cloud central queue (:func:`simulate_single_queue_system`), and the
+cloud behind a round-robin or join-shortest-queue load balancer
 (:func:`simulate_lb_system`).  Each returns the event engine's
 :class:`~repro.sim.tracing.LatencyBreakdown`, with integer site indices
 where the engine stores station names, and every topology carries its
@@ -70,8 +70,6 @@ def simulate_fcfs_queue(
     a, s = _checked_queue_input(arrival_times, service_times)
     if a.size == 0:
         return np.empty(0)
-    if servers == 1:
-        return _lindley_single(a, s)
     return _kw_heap(a, s, servers)
 
 
@@ -253,25 +251,6 @@ def _proven_prefix(
     after[own] = np.maximum(a[own], pool[own + 1]) + s[own]
     taken = int(pool[:first].searchsorted(d[first:].min()))
     return taken, pool, after, int(np.count_nonzero(bad))
-
-
-def _lindley_single(a: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Lindley recursion W_{i+1} = max(0, W_i + s_i - (a_{i+1} - a_i))."""
-    arrivals = a.tolist()
-    services = s.tolist()
-    waits = [0.0] * len(arrivals)
-    w = 0.0
-    prev_a = arrivals[0]
-    prev_s = services[0]
-    for i in range(1, len(arrivals)):
-        ai = arrivals[i]
-        w = w + prev_s - (ai - prev_a)
-        if w < 0.0:
-            w = 0.0
-        waits[i] = w
-        prev_a = ai
-        prev_s = services[i]
-    return np.asarray(waits)
 
 
 def _legs(latency: LatencyModel, rng: np.random.Generator, n: int):

@@ -2,9 +2,9 @@
 
 These are the entry points the experiments layer uses: given the
 paper's knobs (number of sites k, servers per site, per-site request
-rate, service model, RTTs) they build the topology, attach Poisson (or
-custom) sources, run for a virtual duration and return the trimmed
-latency breakdown.
+rate, service model, RTTs) they build the topology, attach Poisson
+sources (or replay traces), run for a virtual duration and return the
+trimmed latency breakdown.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ def run_deployment(
     latency: LatencyModel,
     duration: float,
     seed: int = 0,
-    interarrival: Distribution | None = None,
     site_rates: list[float] | None = None,
     policy: DispatchPolicy | None = None,
     backends: int | None = None,
@@ -59,9 +58,6 @@ def run_deployment(
         Network model between clients and the deployment.
     duration:
         Virtual seconds to simulate.
-    interarrival:
-        Override source inter-arrival distribution at rate 1 (it is
-        scaled by ``1/rate``); default Poisson.
     site_rates:
         Per-site rates for skewed workloads (overrides ``rate_per_site``;
         must have length ``sites``).
@@ -77,7 +73,7 @@ def run_deployment(
         :class:`~repro.sim.client.TraceSource` in place of the open-loop
         source, with its service times when present.  Every request of
         every trace is submitted; ``duration`` then only sets the
-        warm-up cut.  Excludes ``interarrival`` and ``site_rates``.
+        warm-up cut.  Excludes ``site_rates``.
 
     Returns
     -------
@@ -98,8 +94,8 @@ def run_deployment(
     if any(r < 0 for r in rates) or sum(rates) <= 0:
         raise ValueError(f"site rates must be non-negative with positive sum, got {rates}")
     if traces is not None:
-        if interarrival is not None or site_rates is not None:
-            raise ValueError("traces cannot be combined with interarrival or site_rates")
+        if site_rates is not None:
+            raise ValueError("traces cannot be combined with site_rates")
         if len(traces) != sites:
             raise ValueError(f"traces has length {len(traces)}, expected {sites}")
 
@@ -129,12 +125,7 @@ def run_deployment(
             trace = traces[i]
             TraceSource(sim, deployment, trace.arrival_times, trace.service_times, site=site)
         elif rate > 0:
-            gap = (
-                Exponential(1.0 / rate)
-                if interarrival is None
-                else interarrival.scaled(1.0 / (rate * interarrival.mean))
-            )
-            OpenLoopSource(sim, deployment, gap, site=site, stop_time=duration)
+            OpenLoopSource(sim, deployment, Exponential(1.0 / rate), site=site, stop_time=duration)
 
     sim.run()  # drain: sources stop at `duration` or their trace's end
     breakdown = deployment.log.breakdown().after(duration * warmup_fraction)

@@ -1,32 +1,5 @@
-"""Measurement utilities: summaries, time series, CIs, warm-up trimming."""
+"""Measurement utilities: summaries, time series, CIs, warm-up trimming.
 
-from repro.stats.ci import batch_means_ci
-from repro.stats.overload import OverloadSummary, summarize_overload
-from repro.stats.refusals import RefusalCounts
-from repro.stats.replications import (
-    ReplicationSummary,
-    replicate,
-    replications_for_precision,
-)
-from repro.stats.resilience import ResilienceSummary, summarize_resilience
-from repro.stats.summary import LatencySummary, summarize
-from repro.stats.timeseries import windowed_mean, windowed_percentile
-from repro.stats.warmup import mser_cutoff, trim_warmup
-
-__all__ = [
-    "LatencySummary",
-    "summarize",
-    "ResilienceSummary",
-    "summarize_resilience",
-    "OverloadSummary",
-    "summarize_overload",
-    "RefusalCounts",
-    "windowed_mean",
-    "windowed_percentile",
-    "batch_means_ci",
-    "mser_cutoff",
-    "trim_warmup",
-    "ReplicationSummary",
-    "replicate",
-    "replications_for_precision",
-]
+Import from the submodules, e.g. ``from repro.stats.summary import
+summarize``.  This package module re-exports nothing.
+"""

@@ -16,70 +16,9 @@ preserve the statistical properties the evaluation depends on:
 * :mod:`repro.workload.spatial` — spatial skew models: Zipf site
   weights, time-varying skew rotation, and the Gaussian-hotspot hex-cell
   model standing in for the San Francisco taxi trace of Figure 2.
+
+Import from the submodules, e.g. ``from repro.workload.trace import
+RequestTrace``.  This package module re-exports nothing, so a
+simulation that samples arrivals loads none of the Azure or spatial
+generators.
 """
-
-from repro.workload.arrivals import (
-    ArrivalProcess,
-    DeterministicArrivals,
-    GammaRenewalArrivals,
-    HyperExpArrivals,
-    MMPPArrivals,
-    NonHomogeneousPoisson,
-    PoissonArrivals,
-)
-from repro.workload.characterize import (
-    WorkloadProfile,
-    characterize,
-    index_of_dispersion,
-    spatial_skew_profile,
-)
-from repro.workload.io import (
-    load_trace_csv,
-    load_trace_npz,
-    save_trace_csv,
-    save_trace_npz,
-)
-from repro.workload.azure import (
-    AzureTraceConfig,
-    FunctionTrace,
-    generate_azure_workload,
-    group_functions_into_sites,
-)
-from repro.workload.service import (
-    DNNInferenceModel,
-    ImageClassifierService,
-)
-from repro.workload.spatial import (
-    HotspotGrid,
-    time_varying_weights,
-    zipf_weights,
-)
-from repro.workload.trace import RequestTrace
-
-__all__ = [
-    "ArrivalProcess",
-    "PoissonArrivals",
-    "DeterministicArrivals",
-    "GammaRenewalArrivals",
-    "HyperExpArrivals",
-    "MMPPArrivals",
-    "NonHomogeneousPoisson",
-    "save_trace_csv",
-    "load_trace_csv",
-    "save_trace_npz",
-    "load_trace_npz",
-    "WorkloadProfile",
-    "characterize",
-    "index_of_dispersion",
-    "spatial_skew_profile",
-    "RequestTrace",
-    "DNNInferenceModel",
-    "ImageClassifierService",
-    "AzureTraceConfig",
-    "FunctionTrace",
-    "generate_azure_workload",
-    "group_functions_into_sites",
-    "HotspotGrid",
-    "zipf_weights",
-    "time_varying_weights",
-]

@@ -5,10 +5,9 @@ checks) with a deterministic seeded grid — every case is pinned, so a
 failure names the exact (pattern, servers, seed) cell — and extends the
 coverage to the new load-balanced topologies:
 
-* the two ``simulate_fcfs_queue`` implementations (Lindley for c=1, the
-  Kiefer–Wolfowitz heap for c>1) against each other and against the DES
-  station, for c ∈ {1, 2, 8} and Poisson / deterministic / bursty
-  arrivals;
+* ``simulate_fcfs_queue`` (the Kiefer–Wolfowitz heap at every c)
+  against the DES station, bit for bit, for c ∈ {1, 2, 8} and Poisson /
+  deterministic / bursty arrivals;
 * ``simulate_lb_system`` round-robin against the DES
   :class:`~repro.sim.topology.CloudDeployment` with the
   :class:`~repro.sim.loadbalancer.RoundRobin` policy on the *identical*
@@ -28,12 +27,7 @@ from repro.core.comparator import EdgeCloudComparator, SweepPoint
 from repro.core.scenarios import TYPICAL_CLOUD
 from repro.sim.client import TraceSource
 from repro.sim.engine import Simulation
-from repro.sim.fastsim import (
-    _kw_heap,
-    _lindley_single,
-    simulate_fcfs_queue,
-    simulate_lb_system,
-)
+from repro.sim.fastsim import simulate_fcfs_queue, simulate_lb_system
 from repro.sim.loadbalancer import JoinShortestQueue, RoundRobin
 from repro.sim.network import (
     ConstantLatency,
@@ -95,15 +89,20 @@ def run_des_cloud(arrivals, services, servers, *, rtt=0.0, policy=None,
 
 
 class TestRecursionGrid:
-    """Lindley vs KW-heap vs DES over the full seeded grid."""
+    """fastsim vs DES over the full seeded grid, bit for bit."""
 
     @pytest.mark.parametrize("pattern", PATTERNS)
     @pytest.mark.parametrize("seed", SEEDS)
     def test_lindley_equals_kw_heap_single_server(self, pattern, seed):
+        """One server runs the heap recursion too, and its waits are the DES station's.
+
+        The name is kept from the Lindley recursion this path replaced,
+        which matched the DES only to rounding.
+        """
         a, s = make_workload(pattern, 400, seed)
-        np.testing.assert_allclose(
-            _lindley_single(a, s), _kw_heap(a, s, 1), atol=1e-9
-        )
+        fast = simulate_fcfs_queue(a, s, 1)
+        des, _ = run_des_cloud(a, s, 1)
+        assert fast.tobytes() == des.tobytes()
 
     @pytest.mark.parametrize("pattern", PATTERNS)
     @pytest.mark.parametrize("servers", SERVER_COUNTS)
@@ -114,8 +113,8 @@ class TestRecursionGrid:
         s = s * (servers * 0.9)
         fast = simulate_fcfs_queue(a, s, servers)
         des, _ = run_des_cloud(a, s, servers)
-        np.testing.assert_allclose(
-            des, fast, atol=1e-9,
+        np.testing.assert_array_equal(
+            des, fast,
             err_msg=f"DES drifted from fastsim at ({pattern}, c={servers}, seed={seed})",
         )
 

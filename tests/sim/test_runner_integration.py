@@ -236,10 +236,6 @@ class TestArgumentValidation:
             run_deployment(
                 "edge", sites=2, traces=[trace, trace], site_rates=[1.0, 1.0], **common
             )
-        with pytest.raises(ValueError, match="interarrival"):
-            run_deployment(
-                "edge", sites=1, traces=[trace], interarrival=SERVICE, **common
-            )
 
 
 class TestFinishedTopologyIsFreed:

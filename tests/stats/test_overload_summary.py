@@ -7,7 +7,7 @@ from repro.sim.engine import Simulation
 from repro.sim.overload import CoDelDiscipline
 from repro.sim.request import Request
 from repro.sim.station import Station
-from repro.stats import OverloadSummary, summarize_overload
+from repro.stats.overload import OverloadSummary, summarize_overload
 
 
 class TestFromCounters:

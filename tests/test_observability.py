@@ -20,7 +20,7 @@ from repro.obs.windows import WindowedCollector
 from repro.queueing.distributions import Exponential
 from repro.sim.network import ConstantLatency
 from repro.sim.runner import run_deployment
-from repro.stats import RefusalCounts
+from repro.stats.refusals import RefusalCounts
 
 TINY = ExperimentConfig(requests_per_site=2_000, azure_duration=600.0, seed=7)
 

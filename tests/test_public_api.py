@@ -106,13 +106,63 @@ loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")
 assert not loaded, f"{len(loaded)} SciPy modules loaded: {loaded[:5]}"
 
 import numpy as np
-from repro.stats import batch_means_ci
+from repro.stats.ci import batch_means_ci
 
 batch_means_ci(np.arange(100.0))
 assert "scipy.stats" in sys.modules
 """
+    _run_fresh(child)
+
+
+def _run_fresh(child):
+    """Run ``child`` in a fresh interpreter on this tree's ``src``."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.run([sys.executable, "-c", child], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def _assert_loads_none(code, packages, modules):
+    """``code`` loads no module under ``packages`` and none of ``modules``."""
+    _run_fresh(
+        f"import sys\n{code}\n"
+        f"modules, packages = {modules!r}, {packages!r}\n"
+        "loaded = sorted(m for m in sys.modules if m in modules or m.startswith(packages))\n"
+        "assert not loaded, loaded\n"
+    )
+
+
+def test_comparator_imports_only_what_it_runs():
+    """The comparator loads no experiment, campaign, service or
+    mitigation code, and none of the simulator's or workload's models
+    that Figure 7 never runs: package modules re-export nothing."""
+    _assert_loads_none(
+        "import repro.core.comparator",
+        ("repro.experiments", "repro.campaign", "repro.service", "repro.mitigation"),
+        (
+            "repro.sim.resilience", "repro.sim.batching", "repro.sim.geo",
+            "repro.sim.failures", "repro.sim.runner",
+            "repro.workload.azure", "repro.workload.spatial", "repro.workload.arrivals",
+            "repro.core.cost", "repro.core.placement", "repro.core.transient",
+            "repro.stats.replications",
+        ),
+    )
+
+
+def test_service_imports_no_figure_runner():
+    """The campaign service loads neither the experiment registry nor
+    the figure runners, the comparator or fastsim behind them: not on
+    import, and not when it writes a finished job's result."""
+    _assert_loads_none(
+        "import repro.service, repro.campaign.loader, repro.campaign.golden\n"
+        "from repro.campaign.runner import CampaignResult\n"
+        "from repro.experiments import schema\n"
+        "schema.dumps(CampaignResult('c', 0, 'digest'))",
+        (),
+        (
+            "repro.experiments.result", "repro.experiments.figures",
+            "repro.experiments.report", "repro.core.comparator", "repro.sim.fastsim",
+            "repro.workload.azure", "repro.workload.spatial",
+        ),
+    )
