@@ -14,9 +14,9 @@ Subpackages
     Discrete-event simulator of edge/cloud deployments (the stand-in for
     the paper's EC2 testbed) plus a fast vectorized G/G/c path.
 ``repro.workload``
-    Arrival processes, service-time models (incl. the DNN-inference
-    application model), synthetic Azure serverless traces and spatial
-    skew generators.
+    Bursty and time-varying arrival processes, the DNN-inference
+    service model, synthetic Azure serverless traces and spatial skew
+    generators.
 ``repro.core``
     The paper's contribution: inversion bounds (Lemmas 3.1–3.3,
     Corollaries 3.1.1–3.2.1), cutoff-utilization solvers, capacity
@@ -26,8 +26,8 @@ Subpackages
     Executable versions of Section 5's design implications: geographic
     load balancing, skew-proportional provisioning, reactive autoscaling.
 ``repro.stats``
-    Measurement utilities: latency summaries, time series, batch-means
-    confidence intervals, warm-up trimming.
+    Measurement utilities: latency summaries, time series and
+    independent-replication confidence intervals.
 ``repro.experiments``
     Runners that regenerate every figure/table in the paper's evaluation.
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 import ast
 from collections.abc import Iterator
 
+from repro.analysis.callgraph import _dotted
 from repro.analysis.engine import FileContext, Finding, Rule, rule
 
 __all__ = ["DETERMINISM_PACKAGES", "SIM_PACKAGES"]
@@ -63,16 +64,14 @@ def _root_name(node: ast.AST) -> str | None:
     return None
 
 
-def _dotted(node: ast.AST) -> str | None:
-    """Full dotted path of a Name/Attribute chain, or None."""
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
+def _is_set_expr(node: ast.AST) -> bool:
+    """True for a set display, set comprehension or ``set``/``frozenset`` call."""
+    if isinstance(node, (ast.Set, ast.SetComp)):
+        return True
+    return (
+        isinstance(node, ast.Call)
+        and _terminal_name(node.func) in ("set", "frozenset")
+    )
 
 
 @rule
@@ -454,14 +453,6 @@ class SetIterationRule(Rule):
     code = "RPR007"
     summary = "iteration over a set in a simulation hot path (order is unstable)"
 
-    def _is_set_expr(self, node: ast.AST) -> bool:
-        if isinstance(node, (ast.Set, ast.SetComp)):
-            return True
-        return (
-            isinstance(node, ast.Call)
-            and _terminal_name(node.func) in ("set", "frozenset")
-        )
-
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         if not ctx.in_package(*SIM_PACKAGES):
             return
@@ -473,7 +464,7 @@ class SetIterationRule(Rule):
                                    ast.GeneratorExp)):
                 iters = [gen.iter for gen in node.generators]
             for it in iters:
-                if self._is_set_expr(it):
+                if _is_set_expr(it):
                     yield self.finding(
                         ctx, it,
                         "iterating a set in simulation code: order varies "
@@ -615,14 +606,6 @@ class CampaignLoaderSafetyRule(Rule):
         root = _root_name(node)
         return root is not None and "yaml" in root.lower()
 
-    def _is_set_expr(self, node: ast.AST) -> bool:
-        if isinstance(node, (ast.Set, ast.SetComp)):
-            return True
-        return (
-            isinstance(node, ast.Call)
-            and _terminal_name(node.func) in ("set", "frozenset")
-        )
-
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         if not ctx.in_package("repro.campaign"):
             return
@@ -637,7 +620,7 @@ class CampaignLoaderSafetyRule(Rule):
                                    ast.GeneratorExp)):
                 iters = [gen.iter for gen in node.generators]
             for it in iters:
-                if self._is_set_expr(it):
+                if _is_set_expr(it):
                     yield self.finding(
                         ctx, it,
                         "iterating a set while loading/expanding scenarios: "

@@ -27,7 +27,6 @@ from repro.queueing.tails import gg_response_percentile
 
 __all__ = [
     "tail_response_difference",
-    "delta_n_threshold_tail",
     "cutoff_utilization_tail",
 ]
 
@@ -59,7 +58,9 @@ def tail_response_difference(
     (the balanced case).  For ``ca2 = cs2 = 1`` the exact M/M/c response
     quantiles are used; otherwise the heavy-traffic GI/G/k tail
     approximation (:func:`repro.queueing.tails.gg_response_percentile`),
-    in seconds either way.
+    in seconds either way.  This is the tail analogue of Lemma 3.1's
+    threshold: the edge's q-quantile is worse iff :math:`\\Delta n` is
+    below it.
     """
     _check_inputs(rho, mu, edge_servers, cloud_servers, q)
     if ca2 < 0 or cs2 < 0:
@@ -77,26 +78,6 @@ def tail_response_difference(
             q, rho * cloud_servers * mu, mu, cloud_servers, ca2, cs2
         )
     return edge - cloud
-
-
-def delta_n_threshold_tail(
-    rho: float,
-    mu: float,
-    edge_servers: int,
-    cloud_servers: int,
-    q: float = 0.95,
-    *,
-    ca2: float = 1.0,
-    cs2: float = 1.0,
-) -> float:
-    """The Δn (seconds) below which the edge's q-tail is worse.
-
-    The tail analogue of Lemma 3.1: inversion of the q-quantile occurs
-    iff :math:`\\Delta n` is below this threshold.
-    """
-    return tail_response_difference(
-        rho, mu, edge_servers, cloud_servers, q, ca2=ca2, cs2=cs2
-    )
 
 
 def cutoff_utilization_tail(

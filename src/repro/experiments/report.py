@@ -47,7 +47,6 @@ __all__ = [
     "render_priority_shedding",
     "render_brownout_tradeoff",
     "render_storm_defense",
-    "render_result",
 ]
 
 
@@ -319,13 +318,3 @@ def render_storm_defense(result: DefenseResult) -> str:
         )
     return "\n".join(lines)
 
-
-def render_result(result) -> str:
-    """Render an :class:`~repro.experiments.result.ExperimentResult`.
-
-    The envelope already carries its renderer's output in ``text``;
-    this adds the standard header used by the aggregated report.
-    """
-    description = result.metadata.get("description", "")
-    header = f"== {result.name}" + (f": {description}" if description else "")
-    return f"{header} ==\n{result.text}"

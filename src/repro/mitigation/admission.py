@@ -10,10 +10,9 @@ thrashing" observation.
 
 Two generations of policy live here:
 
-* **Static** — :class:`OccupancyAdmission` (admit while in-system per
-  server is below a threshold) and :class:`TokenBucketAdmission`
-  (rate-based protection).  Simple, but the right threshold depends on
-  the very service times and load the operator does not control.
+* **Static** — :class:`OccupancyAdmission` admits while in-system per
+  server is below a threshold.  Simple, but the right threshold depends
+  on the very service times and load the operator does not control.
 * **Adaptive** — :class:`AdaptiveAdmission` drives the admit limit from
   a :class:`ConcurrencyLimit` controller that *learns* the station's
   capacity from observed latency: :class:`AIMDConcurrencyLimit` (TCP
@@ -45,7 +44,6 @@ from repro.sim.station import Station
 
 __all__ = [
     "OccupancyAdmission",
-    "TokenBucketAdmission",
     "ConcurrencyLimit",
     "StaticConcurrencyLimit",
     "AIMDConcurrencyLimit",
@@ -65,27 +63,6 @@ class OccupancyAdmission:
     def admit(self, station: Station, request: Request, now: float) -> bool:
         """Decide admission for one arriving request."""
         return station.in_system / station.servers < self.limit
-
-
-class TokenBucketAdmission:
-    """Classic token bucket: ``rate`` tokens/s, burst capacity ``burst``."""
-
-    def __init__(self, rate: float, burst: float):
-        if rate <= 0 or burst < 1:
-            raise ValueError(f"need rate > 0 and burst >= 1, got {rate}, {burst}")
-        self.rate = float(rate)
-        self.burst = float(burst)
-        self._tokens = float(burst)
-        self._last = 0.0
-
-    def admit(self, station: Station, request: Request, now: float) -> bool:
-        """Decide admission; consumes one token when admitting."""
-        self._tokens = min(self.burst, self._tokens + (now - self._last) * self.rate)
-        self._last = now
-        if self._tokens >= 1.0:
-            self._tokens -= 1.0
-            return True
-        return False
 
 
 class ConcurrencyLimit(ABC):

@@ -6,8 +6,8 @@ post-hoc, by crunching a :class:`~repro.sim.tracing.RequestLog` after
 the run; ``repro.obs`` makes it observable while the run happens:
 
 * :mod:`repro.obs.metrics` — a registry of pull-model gauges that
-  stations, load balancers, admission controllers and resilient clients
-  publish readers into;
+  stations, admission controllers, queue disciplines and resilient
+  clients publish readers into;
 * :mod:`repro.obs.spans` — causally linked per-request spans (network
   legs, queue wait, service, retry/hedge attempts, failover hops) whose
   durations decompose end-to-end latency exactly into the paper's
@@ -16,8 +16,8 @@ the run; ``repro.obs`` makes it observable while the run happens:
 * :mod:`repro.obs.windows` — a windowed collector snapshotting
   throughput, exact p50/p95, per-station occupancy and the
   rejected/dropped/shed taxonomy every Δt of virtual time;
-* :mod:`repro.obs.exporters` — JSON-lines, console-table and in-memory
-  sinks; :mod:`repro.obs.schema` validates the JSON-lines contract.
+* :mod:`repro.obs.exporters` — JSON-lines and in-memory sinks;
+  :mod:`repro.obs.schema` validates the JSON-lines contract.
 
 Everything hangs off one :class:`Telemetry` facade.  Enablement is by
 *installation* (:func:`install` / :func:`installed` — the CLI's
@@ -42,12 +42,7 @@ from __future__ import annotations
 
 import math
 
-from repro.obs.exporters import (
-    ConsoleTableExporter,
-    Exporter,
-    InMemoryExporter,
-    JsonLinesExporter,
-)
+from repro.obs.exporters import Exporter, InMemoryExporter, JsonLinesExporter
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.provider import current_telemetry, install, installed, uninstall
 from repro.obs.schema import SchemaError, validate_record, validate_telemetry_file
@@ -68,7 +63,6 @@ __all__ = [
     "WindowedCollector",
     "Exporter",
     "JsonLinesExporter",
-    "ConsoleTableExporter",
     "InMemoryExporter",
     "validate_record",
     "validate_telemetry_file",
@@ -180,7 +174,7 @@ class Telemetry:
         """Publish a component's ``observables()`` mapping as pull gauges.
 
         Any component may expose ``observables() -> {key: callable}``
-        (admission controllers, dispatch policies, brownout controllers);
+        (admission controllers, queue disciplines, brownout controllers);
         each reader becomes the gauge ``<prefix>.<key>``.  Components
         without the hook are silently skipped.
         """
@@ -210,11 +204,6 @@ class Telemetry:
         """One logical operation abandoned by the resilience layer."""
         self.failed_operations += 1
         self.windows.record_failed_operation(request)
-
-    def record_span(self, span: Span) -> None:
-        """Record an explicit span (attempt/hedge/failover tracing)."""
-        if self.spans is not None:
-            self.spans.record(span)
 
     def record_attempt(
         self,

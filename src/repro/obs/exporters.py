@@ -1,14 +1,12 @@
 """Telemetry exporters: where window records go.
 
 An exporter is anything with ``export(record: dict)`` and ``close()``.
-Three are provided:
+Two are provided:
 
 * :class:`JsonLinesExporter` — one JSON object per line, the machine
   interface (``--telemetry out.jsonl`` on the CLI); the format is
   validated by :mod:`repro.obs.schema` and documented in
   ``docs/observability.md``.
-* :class:`ConsoleTableExporter` — aligned live table rows for humans
-  watching a run.
 * :class:`InMemoryExporter` — keeps records in a list; the test and
   notebook interface.
 """
@@ -16,14 +14,12 @@ Three are provided:
 from __future__ import annotations
 
 import json
-import sys
 from pathlib import Path
 from typing import IO, Protocol, runtime_checkable
 
 __all__ = [
     "Exporter",
     "JsonLinesExporter",
-    "ConsoleTableExporter",
     "InMemoryExporter",
 ]
 
@@ -77,44 +73,6 @@ class JsonLinesExporter:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         where = self._path if self._path is not None else "<stream>"
         return f"JsonLinesExporter({where}, records={self.records})"
-
-
-class ConsoleTableExporter:
-    """Render window records as aligned live table rows."""
-
-    _HEADER = (
-        f"{'t(s)':>8} {'done':>6} {'thru/s':>7} {'p50(ms)':>8} {'p95(ms)':>8} "
-        f"{'refused':>8} {'queued':>7} {'busy':>5}"
-    )
-
-    def __init__(self, stream: IO[str] | None = None):
-        self._stream = stream if stream is not None else sys.stdout
-        self._printed_header = False
-
-    def export(self, record: dict) -> None:
-        if record.get("type") != "window":
-            return
-        if not self._printed_header:
-            print(self._HEADER, file=self._stream)
-            self._printed_header = True
-        lat = record.get("latency", {})
-        stations = record.get("stations", {})
-        refused = sum(record.get("refused", {}).values())
-
-        def ms(key: str) -> str:
-            v = lat.get(key)
-            return "-" if v is None else f"{v * 1e3:8.1f}"
-
-        print(
-            f"{record['t_end']:>8.1f} {record['completed']:>6} "
-            f"{record['throughput']:>7.1f} {ms('p50')} {ms('p95')} "
-            f"{refused:>8} {sum(s['queue'] for s in stations.values()):>7} "
-            f"{sum(s['busy'] for s in stations.values()):>5}",
-            file=self._stream,
-        )
-
-    def close(self) -> None:
-        pass
 
 
 class InMemoryExporter:

@@ -1,17 +1,15 @@
-"""Common protocol and helpers for queueing models.
+"""Stability checks shared by the queueing models.
 
-Every queueing model in :mod:`repro.queueing` exposes the same small
-surface (arrival rate, service rate, server count, utilization, mean
-waiting time and mean response time), written down as the
-:class:`QueueModel` protocol, so exact and approximate models are
-interchangeable wherever only that surface is read.
+The infinite-buffer models in :mod:`repro.queueing` validate their rates
+through
+:func:`ensure_stable`, which returns the utilization
+:math:`\\rho = \\lambda / (k \\mu)` and raises :class:`StabilityError` when
+:math:`\\rho \\ge 1`.
 """
 
 from __future__ import annotations
 
-from typing import Protocol, runtime_checkable
-
-__all__ = ["QueueModel", "utilization", "ensure_stable", "StabilityError"]
+__all__ = ["utilization", "ensure_stable", "StabilityError"]
 
 
 class StabilityError(ValueError):
@@ -60,34 +58,3 @@ def ensure_stable(arrival_rate: float, service_rate: float, servers: int = 1) ->
         )
     return rho
 
-
-@runtime_checkable
-class QueueModel(Protocol):
-    """Protocol shared by all steady-state queueing models.
-
-    Attributes
-    ----------
-    arrival_rate:
-        Mean arrival rate :math:`\\lambda` (req/s).
-    service_rate:
-        Per-server service rate :math:`\\mu` (req/s).
-    servers:
-        Number of servers :math:`k`.
-    """
-
-    arrival_rate: float
-    service_rate: float
-    servers: int
-
-    @property
-    def utilization(self) -> float:
-        """Server utilization :math:`\\rho = \\lambda/(k\\mu) \\in [0, 1)`."""
-        ...
-
-    def mean_wait(self) -> float:
-        """Mean time spent waiting in queue, :math:`E[W_q]`, in seconds."""
-        ...
-
-    def mean_response(self) -> float:
-        """Mean response time :math:`E[T] = E[W_q] + 1/\\mu`, in seconds."""
-        ...

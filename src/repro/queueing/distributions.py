@@ -28,9 +28,7 @@ __all__ = [
     "Erlang",
     "HyperExponential",
     "LogNormal",
-    "Pareto",
     "Uniform",
-    "Empirical",
     "fit_two_moments",
 ]
 
@@ -74,16 +72,6 @@ class Distribution(ABC):
             Number of samples; ``None`` returns a scalar float.
         """
 
-    def scaled(self, factor: float) -> "Distribution":
-        """Return this distribution scaled by a positive constant.
-
-        Scaling preserves :math:`c^2` and multiplies the mean by
-        ``factor``; the default implementation refits via two moments.
-        """
-        if factor <= 0:
-            raise ValueError(f"scale factor must be > 0, got {factor}")
-        return fit_two_moments(self.mean * factor, self.cv2)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(mean={self.mean:.6g}, cv2={self.cv2:.6g})"
 
@@ -111,9 +99,6 @@ class Deterministic(Distribution):
             return self.value
         return np.full(size, self.value)
 
-    def scaled(self, factor: float) -> "Deterministic":
-        return Deterministic(self.value * factor)
-
 
 class Exponential(Distribution):
     """Exponential distribution with the given ``mean`` (:math:`c^2 = 1`)."""
@@ -122,13 +107,6 @@ class Exponential(Distribution):
         if mean <= 0:
             raise ValueError(f"mean must be > 0, got {mean}")
         self._mean = float(mean)
-
-    @classmethod
-    def from_rate(cls, rate: float) -> "Exponential":
-        """Construct from rate :math:`\\lambda` (mean :math:`1/\\lambda`)."""
-        if rate <= 0:
-            raise ValueError(f"rate must be > 0, got {rate}")
-        return cls(1.0 / rate)
 
     @property
     def rate(self) -> float:
@@ -147,9 +125,6 @@ class Exponential(Distribution):
         self, rng: np.random.Generator, size: int | None = None
     ) -> float | np.ndarray:
         return rng.exponential(self._mean, size)
-
-    def scaled(self, factor: float) -> "Exponential":
-        return Exponential(self._mean * factor)
 
 
 class Erlang(Distribution):
@@ -181,9 +156,6 @@ class Erlang(Distribution):
     ) -> float | np.ndarray:
         scale = self._mean / self.shape
         return rng.gamma(self.shape, scale, size)
-
-    def scaled(self, factor: float) -> "Erlang":
-        return Erlang(self.shape, self._mean * factor)
 
 
 class HyperExponential(Distribution):
@@ -239,9 +211,6 @@ class HyperExponential(Distribution):
             return float(out[0])
         return out
 
-    def scaled(self, factor: float) -> "HyperExponential":
-        return HyperExponential(self.probs, self.means * factor)
-
 
 class LogNormal(Distribution):
     """Log-normal distribution parameterized by its mean and :math:`c^2`.
@@ -273,46 +242,6 @@ class LogNormal(Distribution):
     ) -> float | np.ndarray:
         return rng.lognormal(self.mu, math.sqrt(self.sigma2), size)
 
-    def scaled(self, factor: float) -> "LogNormal":
-        return LogNormal(self._mean * factor, self._cv2)
-
-
-class Pareto(Distribution):
-    """Shifted Pareto (Lomax) distribution with tail index ``alpha`` > 2.
-
-    Heavy-tailed service model; ``alpha`` must exceed 2 so the first two
-    moments exist (required by the two-moment analysis).
-    """
-
-    def __init__(self, alpha: float, mean: float) -> None:
-        if alpha <= 2.0:
-            raise ValueError(f"alpha must be > 2 for finite variance, got {alpha}")
-        if mean <= 0:
-            raise ValueError(f"mean must be > 0, got {mean}")
-        self.alpha = float(alpha)
-        self._mean = float(mean)
-        # Lomax: mean = scale / (alpha - 1)
-        self.scale = mean * (alpha - 1.0)
-
-    @property
-    def mean(self) -> float:
-        return self._mean
-
-    @property
-    def variance(self) -> float:
-        a, s = self.alpha, self.scale
-        return s**2 * a / ((a - 1.0) ** 2 * (a - 2.0))
-
-    def sample(
-        self, rng: np.random.Generator, size: int | None = None
-    ) -> float | np.ndarray:
-        # Lomax = Pareto II with location 0: scale * (U^{-1/alpha} - 1)
-        u = rng.random(size)
-        return self.scale * (u ** (-1.0 / self.alpha) - 1.0)
-
-    def scaled(self, factor: float) -> "Pareto":
-        return Pareto(self.alpha, self._mean * factor)
-
 
 class Uniform(Distribution):
     """Uniform distribution on ``[low, high]``."""
@@ -335,35 +264,6 @@ class Uniform(Distribution):
         self, rng: np.random.Generator, size: int | None = None
     ) -> float | np.ndarray:
         return rng.uniform(self.low, self.high, size)
-
-
-class Empirical(Distribution):
-    """Resampling distribution over observed values (e.g. trace samples)."""
-
-    def __init__(self, values: Sequence[float]) -> None:
-        v = np.asarray(values, dtype=float)
-        if v.ndim != 1 or v.size == 0:
-            raise ValueError("values must be a non-empty 1-D sequence")
-        if np.any(v < 0):
-            raise ValueError("values must be non-negative")
-        self.values = v
-
-    @property
-    def mean(self) -> float:
-        return float(self.values.mean())
-
-    @property
-    def variance(self) -> float:
-        return float(self.values.var())
-
-    def sample(
-        self, rng: np.random.Generator, size: int | None = None
-    ) -> float | np.ndarray:
-        n = 1 if size is None else int(size)
-        out = rng.choice(self.values, size=n, replace=True)
-        if size is None:
-            return float(out[0])
-        return out
 
 
 def fit_two_moments(mean: float, cv2: float) -> Distribution:

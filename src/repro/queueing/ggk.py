@@ -9,8 +9,6 @@ waiting (its Equations 14–16).  This module implements:
 * :func:`bolch_prob_wait` — Bolch's two-branch approximation of
   :math:`P_s`, the steady-state probability that an arrival waits.
 * :func:`allen_cunneen_wait` — Allen–Cunneen expected wait for G/G/k.
-* :class:`GG1` / :class:`GGk` — model objects conforming to
-  :class:`repro.queueing.base.QueueModel`.
 
 All functions take the squared coefficients of variation of the
 inter-arrival times (``ca2``) and service times (``cs2``); with
@@ -23,7 +21,7 @@ from __future__ import annotations
 from repro.queueing.base import ensure_stable
 from repro.queueing.mmk import erlang_c
 
-__all__ = ["kingman_wait", "bolch_prob_wait", "allen_cunneen_wait", "GG1", "GGk"]
+__all__ = ["kingman_wait", "bolch_prob_wait", "allen_cunneen_wait"]
 
 
 def kingman_wait(arrival_rate: float, service_rate: float, ca2: float, cs2: float) -> float:
@@ -100,86 +98,3 @@ def _validate_cv2(ca2: float, cs2: float) -> None:
     if ca2 < 0 or cs2 < 0:
         raise ValueError(f"squared CoVs must be >= 0, got ca2={ca2}, cs2={cs2}")
 
-
-class GG1:
-    """G/G/1 queue with Kingman's mean-wait approximation."""
-
-    servers = 1
-
-    def __init__(self, arrival_rate: float, service_rate: float, ca2: float, cs2: float) -> None:
-        self._rho = ensure_stable(arrival_rate, service_rate, 1)
-        _validate_cv2(ca2, cs2)
-        self.arrival_rate = float(arrival_rate)
-        self.service_rate = float(service_rate)
-        self.ca2 = float(ca2)
-        self.cs2 = float(cs2)
-
-    @property
-    def utilization(self) -> float:
-        return self._rho
-
-    def mean_wait(self) -> float:
-        """Kingman's approximation of :math:`E[W_q]`."""
-        return kingman_wait(self.arrival_rate, self.service_rate, self.ca2, self.cs2)
-
-    def mean_response(self) -> float:
-        return self.mean_wait() + 1.0 / self.service_rate
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"GG1(arrival_rate={self.arrival_rate}, service_rate={self.service_rate}, "
-            f"ca2={self.ca2}, cs2={self.cs2})"
-        )
-
-
-class GGk:
-    """G/G/k queue with the Allen–Cunneen mean-wait approximation."""
-
-    def __init__(
-        self,
-        arrival_rate: float,
-        service_rate: float,
-        servers: int,
-        ca2: float,
-        cs2: float,
-        *,
-        prob_wait: str = "bolch",
-    ) -> None:
-        self._rho = ensure_stable(arrival_rate, service_rate, servers)
-        _validate_cv2(ca2, cs2)
-        self.arrival_rate = float(arrival_rate)
-        self.service_rate = float(service_rate)
-        self.servers = int(servers)
-        self.ca2 = float(ca2)
-        self.cs2 = float(cs2)
-        self.prob_wait_method = prob_wait
-
-    @property
-    def utilization(self) -> float:
-        return self._rho
-
-    def prob_wait(self) -> float:
-        """Probability of waiting under the configured approximation."""
-        if self.prob_wait_method == "bolch":
-            return bolch_prob_wait(self.servers, self._rho)
-        return erlang_c(self.servers, self.arrival_rate / self.service_rate)
-
-    def mean_wait(self) -> float:
-        """Allen–Cunneen approximation of :math:`E[W_q]`."""
-        return allen_cunneen_wait(
-            self.arrival_rate,
-            self.service_rate,
-            self.servers,
-            self.ca2,
-            self.cs2,
-            prob_wait=self.prob_wait_method,
-        )
-
-    def mean_response(self) -> float:
-        return self.mean_wait() + 1.0 / self.service_rate
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"GGk(arrival_rate={self.arrival_rate}, service_rate={self.service_rate}, "
-            f"servers={self.servers}, ca2={self.ca2}, cs2={self.cs2})"
-        )

@@ -9,15 +9,10 @@ policies so the gap is measurable (ablation A1 in DESIGN.md):
 * :class:`RoundRobin` — HAProxy's default.
 * :class:`RandomDispatch` — uniform random.
 * :class:`JoinShortestQueue` — HAProxy ``leastconn`` (fewest in system).
-* :class:`LeastWorkLeft` — idealized policy using (approximate) backlog
-  seconds rather than counts.
-* :class:`BackpressureDispatch` — overload-aware wrapper: reads each
-  station's ``pressure()`` signal and steers around saturated (and
-  failed) backends, the dispatch half of server-side overload control.
 
-State-aware policies (JSQ, least-work, backpressure) never pick a
-``failed()`` station while a healthy one exists — a load balancer sees
-dead backends through health checks.
+The state-aware policy (JSQ) never picks a ``failed`` station while a
+healthy one exists — a load balancer sees dead backends through health
+checks.
 
 The central-queue ideal is expressed in the topology layer as a single
 :class:`~repro.sim.station.Station` with ``k`` servers, not a policy.
@@ -37,8 +32,6 @@ __all__ = [
     "RoundRobin",
     "RandomDispatch",
     "JoinShortestQueue",
-    "LeastWorkLeft",
-    "BackpressureDispatch",
 ]
 
 
@@ -94,59 +87,3 @@ class JoinShortestQueue(DispatchPolicy):
         candidates = np.flatnonzero(occupancy == occupancy.min())
         return stations[int(candidates[rng.integers(len(candidates))])]
 
-
-class LeastWorkLeft(DispatchPolicy):
-    """Send to the backend with the least unfinished work (in seconds).
-
-    Uses :meth:`repro.sim.station.Station.backlog_work`, an expected-work
-    estimate; with known per-request service times (trace replay) this is
-    the idealized SITA-style policy.
-    """
-
-    def choose(self, stations: Sequence[Station], rng: np.random.Generator) -> Station:
-        if not stations:
-            raise ValueError("no backend stations")
-        stations = _healthy(stations)
-        work = np.fromiter((s.backlog_work() for s in stations), dtype=float)
-        candidates = np.flatnonzero(work == work.min())
-        return stations[int(candidates[rng.integers(len(candidates))])]
-
-
-class BackpressureDispatch(DispatchPolicy):
-    """Steer around saturated backends using their overload signal.
-
-    Dispatches through ``inner`` (default :class:`JoinShortestQueue`)
-    restricted to healthy stations whose
-    :meth:`~repro.sim.station.Station.pressure` — in-system requests per
-    server — is below ``pressure_limit``.  When every healthy station is
-    past the limit, the least-pressured one is chosen (degraded but
-    still directed away from the worst queues).  This closes the loop
-    with the resilience layer: the same per-station signal the client's
-    failover reads (``saturation_threshold``) steers dispatch *before*
-    requests pile onto a drowning site.
-    """
-
-    def __init__(self, inner: DispatchPolicy | None = None, pressure_limit: float = 2.0):
-        if pressure_limit <= 0:
-            raise ValueError(f"pressure_limit must be > 0, got {pressure_limit}")
-        self.inner = inner if inner is not None else JoinShortestQueue()
-        self.pressure_limit = float(pressure_limit)
-        self.steered = 0  # dispatches where >= 1 backend was over the limit
-
-    def choose(self, stations: Sequence[Station], rng: np.random.Generator) -> Station:
-        if not stations:
-            raise ValueError("no backend stations")
-        alive = _healthy(stations)
-        open_ = [s for s in alive if s.pressure() < self.pressure_limit]
-        if len(open_) < len(alive):
-            self.steered += 1
-        if open_:
-            return self.inner.choose(open_, rng)
-        return min(alive, key=lambda s: s.pressure())
-
-    def observables(self) -> dict:
-        """Pull-model gauge readers for the telemetry registry."""
-        return {
-            "steered": lambda: self.steered,
-            "pressure_limit": lambda: self.pressure_limit,
-        }

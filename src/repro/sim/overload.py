@@ -23,9 +23,9 @@ because it guards the front door rather than the waiting line:
   served by a cheaper degraded service variant (a smaller model for the
   paper's DNN-inference workload), raising effective capacity without
   rejecting anyone.  The degraded fraction is reported.
-* **Overload signals** — stations expose ``pressure()`` (in-system per
-  server); :class:`~repro.sim.loadbalancer.BackpressureDispatch` and
-  the resilient client's failover read it to steer around saturated
+* **Overload signals** — brownout estimates the wait from a station's
+  ``backlog_work()``; the resilient client's failover compares its
+  ``in_system`` with a saturation threshold to steer around saturated
   sites.
 
 Requests refused by a discipline are *shed* (station counter ``shed``,

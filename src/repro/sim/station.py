@@ -184,13 +184,8 @@ class Station:
         """The waiting-line discipline in use."""
         return self._discipline
 
-    def pressure(self) -> float:
-        """In-system requests per server — the overload signal
-        backpressure-aware dispatch and failover read."""
-        return self.in_system / self._servers
-
     def backlog_work(self) -> float:
-        """Approximate unfinished work in seconds (for least-work dispatch).
+        """Approximate unfinished work in seconds (brownout's wait estimate).
 
         Sum of queued requests' (known or expected) service demands; the
         residual of in-service requests is approximated by half a mean

@@ -1,10 +1,11 @@
 """Independent-replications analysis for simulation experiments.
 
-Batch means (:mod:`repro.stats.ci`) handles within-run autocorrelation;
-the complementary technique is R *independent replications* with
-different seeds, which also captures across-run variability (different
-random paths through the warm-up and rare-event structure).  This
-module provides:
+Latency samples from one run are autocorrelated (consecutive requests
+share queue state), so an i.i.d. interval over them is too narrow.  R
+*independent replications* with different seeds give independent
+statistics, and also capture across-run variability (different random
+paths through the warm-up and rare-event structure).  This module
+provides:
 
 * :func:`replicate` — run a seeded experiment R times and collect a
   statistic per run;
@@ -24,9 +25,20 @@ from collections.abc import Callable
 import numpy as np
 
 from repro.parallel import derive_seed, resolve_workers, run_tasks
-from repro.stats.ci import _t_critical
 
 __all__ = ["ReplicationSummary", "replicate", "replications_for_precision"]
+
+
+def _t_critical(confidence: float, dof: int) -> float:
+    """Two-sided Student-t critical value at ``confidence`` with ``dof`` degrees of freedom.
+
+    The one place :mod:`repro` imports SciPy: ``scipy.stats`` takes about
+    0.6 s to import, so it loads on the first interval computed, not with
+    :mod:`repro.stats`, which every simulation imports.
+    """
+    from scipy import stats
+
+    return float(stats.t.ppf(0.5 + confidence / 2.0, dof))
 
 
 @dataclass(frozen=True)

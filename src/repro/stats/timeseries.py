@@ -8,16 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["windowed_mean", "windowed_percentile"]
-
-
-def _window_edges(times: np.ndarray, window: float, horizon: float | None) -> np.ndarray:
-    if window <= 0:
-        raise ValueError(f"window must be > 0, got {window}")
-    if times.size == 0:
-        return np.array([0.0])
-    end = float(times.max()) if horizon is None else float(horizon)
-    return np.arange(0.0, end + window, window)
+__all__ = ["windowed_mean"]
 
 
 def windowed_mean(
@@ -43,7 +34,13 @@ def windowed_mean(
     v = np.asarray(values, dtype=float)
     if t.shape != v.shape:
         raise ValueError(f"times {t.shape} and values {v.shape} must align")
-    edges = _window_edges(t, window, horizon)
+    if window <= 0:
+        raise ValueError(f"window must be > 0, got {window}")
+    if t.size == 0:
+        edges = np.array([0.0])
+    else:
+        end = float(t.max()) if horizon is None else float(horizon)
+        edges = np.arange(0.0, end + window, window)
     idx = np.clip(np.digitize(t, edges) - 1, 0, len(edges) - 2)
     sums = np.zeros(len(edges) - 1)
     counts = np.zeros(len(edges) - 1)
@@ -53,33 +50,3 @@ def windowed_mean(
         means = np.where(counts > 0, sums / counts, np.nan)
     return edges[:-1], means
 
-
-def windowed_percentile(
-    times: np.ndarray,
-    values: np.ndarray,
-    window: float,
-    q: float,
-    horizon: float | None = None,
-):
-    """Per-window quantile ``q`` of ``values`` (e.g. 0.95 for tail series).
-
-    Returns ``(window_starts, percentiles)``; empty windows hold ``nan``.
-    """
-    if not 0.0 < q < 1.0:
-        raise ValueError(f"q must be in (0, 1), got {q}")
-    t = np.asarray(times, dtype=float)
-    v = np.asarray(values, dtype=float)
-    if t.shape != v.shape:
-        raise ValueError(f"times {t.shape} and values {v.shape} must align")
-    edges = _window_edges(t, window, horizon)
-    idx = np.clip(np.digitize(t, edges) - 1, 0, len(edges) - 2)
-    out = np.full(len(edges) - 1, np.nan)
-    order = np.argsort(idx, kind="stable")
-    sorted_idx = idx[order]
-    sorted_v = v[order]
-    boundaries = np.searchsorted(sorted_idx, np.arange(len(edges)))
-    for w in range(len(edges) - 1):
-        lo, hi = boundaries[w], boundaries[w + 1]
-        if hi > lo:
-            out[w] = np.quantile(sorted_v[lo:hi], q)
-    return edges[:-1], out

@@ -1,15 +1,13 @@
-"""Arrival processes (the Gatling stand-in).
+"""Arrival processes that are not renewal processes.
 
-Generators for the request streams the paper drives its experiments
-with: Poisson (the Section 3.1.1 model), deterministic, renewal
-processes with tunable burstiness (Gamma and hyperexponential — used for
-the CoV ablations of Corollary 3.2.1) and a two-state Markov-modulated
-Poisson process for flash-crowd-like on/off bursts.
-
-Each process generates a :class:`~repro.workload.trace.RequestTrace`
-over a fixed horizon or with a fixed request count.  ``interarrival()``
-exposes the matching gap distribution for plugging directly into an
-:class:`~repro.sim.client.OpenLoopSource`.
+A renewal stream (Poisson, paced, Erlang or hyperexponential gaps) is a
+gap :class:`~repro.queueing.distributions.Distribution`: an
+:class:`~repro.sim.client.OpenLoopSource` samples it directly, and the
+comparator cumulates its samples into arrival times.  This module holds
+the two processes a gap distribution cannot express: a two-state
+Markov-modulated Poisson process for flash-crowd-like on/off bursts, and
+a non-homogeneous Poisson process for diurnal envelopes and ramps.  Each
+generates a :class:`~repro.workload.trace.RequestTrace`.
 """
 
 from __future__ import annotations
@@ -18,28 +16,17 @@ from abc import ABC, abstractmethod
 
 import numpy as np
 
-from repro.queueing.distributions import (
-    Deterministic,
-    Distribution,
-    Erlang,
-    Exponential,
-    HyperExponential,
-)
 from repro.workload.trace import RequestTrace
 
 __all__ = [
     "ArrivalProcess",
-    "PoissonArrivals",
-    "DeterministicArrivals",
-    "GammaRenewalArrivals",
-    "HyperExpArrivals",
     "MMPPArrivals",
     "NonHomogeneousPoisson",
 ]
 
 
 class ArrivalProcess(ABC):
-    """A stationary arrival process with a known mean rate."""
+    """An arrival process with a known long-run mean rate."""
 
     def __init__(self, rate: float):
         if rate <= 0:
@@ -51,104 +38,6 @@ class ArrivalProcess(ABC):
         self, rng: np.random.Generator, *, horizon: float | None = None, n: int | None = None
     ) -> RequestTrace:
         """Generate arrivals over ``[0, horizon)`` or exactly ``n`` of them."""
-
-    @staticmethod
-    def _resolve_count(rate: float, horizon: float | None, n: int | None) -> tuple[float, int]:
-        if (horizon is None) == (n is None):
-            raise ValueError("specify exactly one of horizon or n")
-        if n is not None:
-            if n < 1:
-                raise ValueError(f"n must be >= 1, got {n}")
-            return np.inf, int(n)
-        if horizon <= 0:
-            raise ValueError(f"horizon must be > 0, got {horizon}")
-        # Generous over-draw, trimmed after cumsum.
-        return float(horizon), int(rate * horizon + 6.0 * np.sqrt(rate * horizon) + 16)
-
-    def _from_gaps(self, gaps: np.ndarray, horizon: float, n_exact: int | None) -> RequestTrace:
-        times = np.cumsum(gaps)
-        if n_exact is not None:
-            return RequestTrace(times[:n_exact])
-        return RequestTrace(times[times < horizon])
-
-
-class _RenewalArrivals(ArrivalProcess):
-    """Renewal process driven by an i.i.d. gap distribution."""
-
-    def __init__(self, rate: float, gap_dist: Distribution):
-        super().__init__(rate)
-        self.gap_dist = gap_dist
-
-    def interarrival(self) -> Distribution:
-        """The gap distribution (mean ``1/rate``)."""
-        return self.gap_dist
-
-    @property
-    def cv2(self) -> float:
-        """Squared CoV of the inter-arrival gaps."""
-        return self.gap_dist.cv2
-
-    def generate(self, rng, *, horizon=None, n=None):
-        hz, count = self._resolve_count(self.rate, horizon, n)
-        gaps = np.asarray(self.gap_dist.sample(rng, count), dtype=float)
-        # Top up in the (rare) under-draw case for horizon mode.
-        while n is None and gaps.sum() < hz:
-            gaps = np.concatenate([gaps, np.asarray(self.gap_dist.sample(rng, count))])
-        return self._from_gaps(gaps, hz, n)
-
-
-def _require_positive_rate(rate: float) -> float:
-    if rate <= 0:
-        raise ValueError(f"rate must be > 0, got {rate}")
-    return float(rate)
-
-
-class PoissonArrivals(_RenewalArrivals):
-    """Poisson arrivals at ``rate`` req/s (:math:`c_A^2 = 1`)."""
-
-    def __init__(self, rate: float):
-        rate = _require_positive_rate(rate)
-        super().__init__(rate, Exponential(1.0 / rate))
-
-
-class DeterministicArrivals(_RenewalArrivals):
-    """Perfectly paced arrivals (:math:`c_A^2 = 0`)."""
-
-    def __init__(self, rate: float):
-        rate = _require_positive_rate(rate)
-        super().__init__(rate, Deterministic(1.0 / rate))
-
-
-class GammaRenewalArrivals(_RenewalArrivals):
-    """Gamma-gap renewal process with sub-Poisson burstiness.
-
-    ``cv2`` must be in (0, 1]; the gap distribution is Erlang with shape
-    ``round(1/cv2)`` (exact CoV at integer reciprocals).
-    """
-
-    def __init__(self, rate: float, cv2: float):
-        rate = _require_positive_rate(rate)
-        if not 0.0 < cv2 <= 1.0:
-            raise ValueError(f"GammaRenewalArrivals needs 0 < cv2 <= 1, got {cv2}")
-        if cv2 == 1.0:
-            gap: Distribution = Exponential(1.0 / rate)
-        else:
-            gap = Erlang(max(1, round(1.0 / cv2)), 1.0 / rate)
-        super().__init__(rate, gap)
-
-
-class HyperExpArrivals(_RenewalArrivals):
-    """Bursty renewal arrivals with :math:`c_A^2 > 1` (balanced H2 gaps).
-
-    The knob for the burstiness ablation: Corollary 3.2.1 says inversion
-    likelihood grows with the inter-arrival CoV.
-    """
-
-    def __init__(self, rate: float, cv2: float):
-        rate = _require_positive_rate(rate)
-        if cv2 <= 1.0:
-            raise ValueError(f"HyperExpArrivals needs cv2 > 1, got {cv2}")
-        super().__init__(rate, HyperExponential.balanced(1.0 / rate, cv2))
 
 
 class MMPPArrivals(ArrivalProcess):

@@ -1,4 +1,4 @@
-"""Application service-time models.
+"""Service-time model of the paper's application.
 
 The paper's application is a Keras/TensorFlow image-classification web
 service on a 4-vCPU ``c5a.xlarge``: compute-bound, saturating one
@@ -11,20 +11,18 @@ exactly the properties the latency results depend on:
   Erlang-4, :math:`c^2 = 0.25` — DNN forward passes on same-sized inputs
   are near-deterministic, with OS/framework noise on top).
 
-:class:`ImageClassifierService` adds the image-size mechanism used for
-the Azure-trace replay: "an image of an appropriate size is chosen to
-generate a request with the appropriate service time" (Section 4.1) —
-service time is an affine function of input size, inverted to choose an
-image for a target execution time.
+The paper replays the Azure trace by choosing, per request, "an image of
+an appropriate size ... to generate a request with the appropriate
+service time" (Section 4.1).  The simulator needs no image: the Azure
+replay takes the execution times that :mod:`repro.workload.azure`
+samples and rescales them (see ``repro.experiments.figures``).
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.queueing.distributions import Distribution, fit_two_moments
 
-__all__ = ["DNNInferenceModel", "ImageClassifierService"]
+__all__ = ["DNNInferenceModel"]
 
 
 class DNNInferenceModel:
@@ -108,70 +106,3 @@ class DNNInferenceModel:
             f"cores={self.cores}, cv2={self.cv2})"
         )
 
-
-class ImageClassifierService:
-    """Image-size–driven service times for trace replay.
-
-    Service time of an image of ``size`` megapixels is
-    ``base + per_mpix * size`` seconds — an affine model that is a good
-    fit for convolutional classifiers, whose FLOPs scale with input area.
-
-    Parameters
-    ----------
-    base:
-        Fixed per-request overhead (decode, HTTP, framework), seconds.
-    per_mpix:
-        Marginal seconds per megapixel of input.
-    mean_mpix / cv2_mpix:
-        Log-normal image-size distribution of the image dataset.
-    """
-
-    def __init__(
-        self,
-        base: float = 0.02,
-        per_mpix: float = 0.12,
-        mean_mpix: float = 2.2,
-        cv2_mpix: float = 0.6,
-    ):
-        if base < 0 or per_mpix <= 0:
-            raise ValueError("need base >= 0 and per_mpix > 0")
-        if mean_mpix <= 0 or cv2_mpix <= 0:
-            raise ValueError("need positive image-size distribution parameters")
-        self.base = float(base)
-        self.per_mpix = float(per_mpix)
-        self.size_dist = fit_two_moments(mean_mpix, cv2_mpix)
-
-    def service_time_for_size(self, size_mpix):
-        """Service time (s) of an image of ``size_mpix`` megapixels."""
-        size = np.asarray(size_mpix, dtype=float)
-        if np.any(size < 0):
-            raise ValueError("image sizes must be non-negative")
-        return self.base + self.per_mpix * size
-
-    def size_for_service_time(self, service_time):
-        """Image size (Mpix) whose inference takes ``service_time`` seconds.
-
-        The paper's replay mechanism: given a target execution time from
-        the Azure distribution, pick the image that produces it.  Times
-        below the fixed overhead map to a zero-pixel (header-only) image.
-        """
-        t = np.asarray(service_time, dtype=float)
-        if np.any(t < 0):
-            raise ValueError("service times must be non-negative")
-        return np.maximum(t - self.base, 0.0) / self.per_mpix
-
-    def sample_service_times(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """Draw ``n`` service times from the dataset's image-size mix."""
-        sizes = np.asarray(self.size_dist.sample(rng, n), dtype=float)
-        return self.service_time_for_size(sizes)
-
-    @property
-    def mean_service_time(self) -> float:
-        """Expected inference time over the dataset (seconds)."""
-        return self.base + self.per_mpix * self.size_dist.mean
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"ImageClassifierService(base={self.base}, per_mpix={self.per_mpix}, "
-            f"mean_service_time={self.mean_service_time:.4f})"
-        )

@@ -1,12 +1,9 @@
 """Spatial workload-skew models.
 
-Three generators for the paper's spatial dynamics:
+Two generators for the paper's spatial dynamics:
 
 * :func:`zipf_weights` — static Zipf split of the aggregate load across
   k sites (the standard popularity-skew model; ``s = 0`` is balanced).
-* :func:`time_varying_weights` — weights that rotate around the sites
-  over a diurnal period, modeling the day/night migration of load the
-  paper cites (González et al.'s human-mobility result).
 * :class:`HotspotGrid` — the Figure 2 stand-in: a hexagonal grid of
   1 km-radius edge cells under a Gaussian-mixture mobility intensity
   whose hotspots drift over the day, reproducing the skewed per-cell
@@ -17,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["zipf_weights", "time_varying_weights", "HotspotGrid"]
+__all__ = ["zipf_weights", "HotspotGrid"]
 
 
 def zipf_weights(k: int, s: float) -> np.ndarray:
@@ -32,25 +29,6 @@ def zipf_weights(k: int, s: float) -> np.ndarray:
         raise ValueError(f"s must be >= 0, got {s}")
     w = np.arange(1, k + 1, dtype=float) ** -s
     return w / w.sum()
-
-
-def time_varying_weights(k: int, s: float, t: float, period: float) -> np.ndarray:
-    """Zipf weights whose hot site rotates smoothly over ``period`` seconds.
-
-    At time ``t`` the weight vector is the base Zipf vector circularly
-    shifted by ``k·t/period`` positions, with linear interpolation
-    between adjacent integer shifts — load moves continuously from site
-    to site the way diurnal mobility shifts urban hotspots.
-    """
-    if period <= 0:
-        raise ValueError(f"period must be > 0, got {period}")
-    base = zipf_weights(k, s)
-    shift = (t / period) * k
-    lo = int(np.floor(shift)) % k
-    frac = shift - np.floor(shift)
-    rolled_lo = np.roll(base, lo)
-    rolled_hi = np.roll(base, (lo + 1) % k)
-    return (1.0 - frac) * rolled_lo + frac * rolled_hi
 
 
 class HotspotGrid:

@@ -4,8 +4,8 @@ A :class:`RequestTrace` is the common currency between workload
 generators and the simulators: aligned arrays of absolute arrival times
 and (optional) per-request service times.  The operations mirror what
 the paper does with the Azure traces: merge per-site traces into the
-cloud's aggregate stream, split an aggregate across sites, and compute
-windowed rates for the time-series figures.
+cloud's aggregate stream and compute windowed rates for the time-series
+figures.
 """
 
 from __future__ import annotations
@@ -92,10 +92,6 @@ class RequestTrace:
             None if self.service_times is None else self.service_times[mask],
         )
 
-    def shifted(self, offset: float) -> "RequestTrace":
-        """Trace with all arrival times moved by ``offset`` seconds."""
-        return RequestTrace(self.arrival_times + offset, self.service_times)
-
     def windowed_rates(self, window: float, horizon: float | None = None):
         """Per-window request rates (req/s) over ``[0, horizon)``.
 
@@ -112,33 +108,6 @@ class RequestTrace:
         edges = np.arange(0.0, end + window, window)
         counts, _ = np.histogram(self.arrival_times, bins=edges)
         return edges[:-1], counts / window
-
-    def split_by_weights(
-        self, weights, rng: np.random.Generator
-    ) -> list["RequestTrace"]:
-        """Randomly partition requests across sites with given probabilities.
-
-        This is the paper's spatial-skew construction: each request is
-        routed to site ``i`` with probability ``weights[i]``; thinning a
-        point process preserves its character per site.
-        """
-        w = np.asarray(weights, dtype=float)
-        if w.ndim != 1 or w.size == 0 or np.any(w < 0):
-            raise ValueError(f"weights must be non-negative and non-empty, got {w}")
-        total = w.sum()
-        if total <= 0:
-            raise ValueError("weights must have positive sum")
-        assignment = rng.choice(w.size, size=len(self), p=w / total)
-        out = []
-        for i in range(w.size):
-            mask = assignment == i
-            out.append(
-                RequestTrace(
-                    self.arrival_times[mask],
-                    None if self.service_times is None else self.service_times[mask],
-                )
-            )
-        return out
 
     @staticmethod
     def merge(traces: list["RequestTrace"]) -> "RequestTrace":

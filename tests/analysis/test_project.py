@@ -5,6 +5,8 @@ from pathlib import Path
 
 from repro.analysis.project import analyze_project
 
+REPO = Path(__file__).resolve().parents[2]
+
 
 def write_tree(tmp_path, files):
     for rel, src in files.items():
@@ -79,3 +81,14 @@ def test_analysis_writes_no_file(tmp_path, monkeypatch):
     before = sorted(tmp_path.rglob("*"))
     analyze_project([root], roots=["repro.app.simulate_*"])
     assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_figure7_sampling_calls_are_resolved():
+    """The determinism pass follows the duck-typed calls of Figure 7's path.
+
+    ``EdgeCloudComparator._site_workloads`` calls ``gap.sample(rng, n)``
+    on a ``Distribution``.  A method name defined more than ``DUCK_CAP``
+    times is recorded as unknown dispatch, and RPR101 does not follow it.
+    """
+    report = analyze_project([REPO / "src"])
+    assert not {"sample", "mean", "utilization"} & report.unknown_dispatch.keys()

@@ -7,11 +7,7 @@ from hypothesis import strategies as st
 
 from repro.core.cost import CostModel, compare_slo_costs, min_servers_for_slo
 from repro.core.inversion import cutoff_utilization_exact
-from repro.core.tail import (
-    cutoff_utilization_tail,
-    delta_n_threshold_tail,
-    tail_response_difference,
-)
+from repro.core.tail import cutoff_utilization_tail, tail_response_difference
 from repro.queueing.mmk import MMk
 from repro.sim.fastsim import simulate_fcfs_queue
 
@@ -24,11 +20,6 @@ class TestTailBounds:
         d_low = tail_response_difference(0.4, 13.0, 1, 5)
         d_high = tail_response_difference(0.8, 13.0, 1, 5)
         assert 0 < d_low < d_high
-
-    def test_threshold_is_alias(self):
-        assert delta_n_threshold_tail(0.7, 13.0, 1, 5) == tail_response_difference(
-            0.7, 13.0, 1, 5
-        )
 
     def test_tail_cutoff_below_mean_cutoff(self):
         """The Figure 5 effect, predicted analytically."""

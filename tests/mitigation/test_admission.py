@@ -11,7 +11,6 @@ from repro.mitigation.admission import (
     GradientConcurrencyLimit,
     OccupancyAdmission,
     StaticConcurrencyLimit,
-    TokenBucketAdmission,
 )
 from repro.queueing.distributions import Deterministic, Exponential
 from repro.sim.engine import Simulation
@@ -72,57 +71,6 @@ class TestOccupancyAdmission:
         sim = Simulation(0)
         st = Station(sim, 1, Exponential(1.0), admission=OccupancyAdmission(1.0))
         assert st.refusal_rate == 0.0
-
-
-class TestTokenBucketAdmission:
-    def test_burst_then_throttle(self):
-        sim = Simulation(0)
-        policy = TokenBucketAdmission(rate=1.0, burst=3.0)
-        st = Station(sim, 10, Deterministic(0.001), admission=policy)
-        # 5 instantaneous arrivals: 3 admitted (bucket), 2 rejected.
-        for i in range(5):
-            sim.schedule(0.0, st.arrive, Request(i, created=0.0))
-        sim.run(until=0.5)
-        assert st.rejected == 2
-
-    def test_tokens_refill_over_time(self):
-        sim = Simulation(0)
-        st = Station(
-            sim, 10, Deterministic(0.001), admission=TokenBucketAdmission(rate=2.0, burst=1.0)
-        )
-        # One request per second at refill rate 2/s: all admitted.
-        for i in range(5):
-            sim.schedule(float(i), st.arrive, Request(i, created=float(i)))
-        sim.run()
-        assert st.rejected == 0
-
-    def test_sustained_rate_enforced(self):
-        sim = Simulation(3)
-        st = Station(
-            sim, 50, Deterministic(0.001), admission=TokenBucketAdmission(rate=5.0, burst=5.0)
-        )
-        drive(st, sim, rate=20.0, duration=400.0, rng=sim.spawn_rng())
-        admitted_rate = (st.arrivals - st.rejected) / 400.0
-        assert admitted_rate == pytest.approx(5.0, rel=0.1)
-
-    def test_on_reject_callback(self):
-        sim = Simulation(0)
-        outcomes = []
-        st = Station(
-            sim, 1, Deterministic(1.0),
-            admission=TokenBucketAdmission(rate=0.1, burst=1.0),
-            on_refuse=lambda r, outcome: outcomes.append(outcome),
-        )
-        for i in range(3):
-            sim.schedule(0.0, st.arrive, Request(i, created=0.0))
-        sim.run(until=0.5)
-        assert outcomes == ["rejected", "rejected"]
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            TokenBucketAdmission(rate=0.0, burst=1.0)
-        with pytest.raises(ValueError):
-            TokenBucketAdmission(rate=1.0, burst=0.5)
 
 
 class TestAIMDConcurrencyLimit:

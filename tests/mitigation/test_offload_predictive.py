@@ -1,4 +1,4 @@
-"""Tests for hierarchical offloading and the predictive autoscaler."""
+"""Tests for hierarchical offloading and bounded stations."""
 
 from itertools import count
 
@@ -6,13 +6,11 @@ import numpy as np
 import pytest
 
 from repro.mitigation.offload import HybridDeployment
-from repro.mitigation.predictive import PredictiveAutoscaler
 from repro.queueing.distributions import Exponential
 from repro.sim.client import OpenLoopSource
 from repro.sim.engine import Simulation
 from repro.sim.network import ConstantLatency, LossyLatency
 from repro.sim.runner import run_deployment
-from repro.sim.topology import EdgeDeployment, EdgeSite
 
 MU = 13.0
 SERVICE = Exponential(1.0 / MU)
@@ -124,61 +122,6 @@ class TestHybridDeployment:
             edge_latency=EDGE_LAT, cloud_latency=CLOUD_LAT, service_dist=SERVICE,
         )
         assert hybrid.offload_fraction == 0.0
-
-
-def run_predictive(rate=11.0, duration=800.0, seed=7, **kwargs):
-    sim = Simulation(seed)
-    site = EdgeSite(sim, "s0", 1, EDGE_LAT, SERVICE)
-    edge = EdgeDeployment(sim, [site])
-    OpenLoopSource(sim, edge, Exponential(1.0 / rate), site="s0", stop_time=duration)
-    scaler = PredictiveAutoscaler(
-        sim, [site.station], MU, interval=20.0, stop_time=duration, **kwargs
-    )
-    sim.run()
-    return edge, site, scaler
-
-
-class TestPredictiveAutoscaler:
-    def test_scales_up_under_load(self):
-        _, site, scaler = run_predictive()
-        assert scaler.scale_events > 0
-        assert site.station.servers >= 1
-
-    def test_headroom_provisions_more(self):
-        _, site_lo, _ = run_predictive(headroom_sigmas=0.0, seed=8)
-        _, site_hi, _ = run_predictive(headroom_sigmas=4.0, seed=8)
-        assert site_hi.station.servers >= site_lo.station.servers
-
-    def test_improves_latency_vs_fixed_single_server(self):
-        edge, _, _ = run_predictive(rate=11.0, seed=9)
-        fixed = run_deployment(
-            "edge", sites=1, servers_per_site=1, rate_per_site=11.0,
-            service_dist=SERVICE, latency=EDGE_LAT, duration=800.0, seed=9,
-        )
-        scaled = edge.log.breakdown().after(160.0).end_to_end.mean()
-        assert scaled < fixed.end_to_end.mean()
-
-    def test_respects_bounds(self):
-        _, site, _ = run_predictive(max_servers=2, seed=10)
-        assert site.station.servers <= 2
-
-    def test_validation(self):
-        sim = Simulation(0)
-        from repro.sim.station import Station
-
-        st_ = Station(sim, 1, SERVICE)
-        with pytest.raises(ValueError):
-            PredictiveAutoscaler(sim, [], MU)
-        with pytest.raises(ValueError):
-            PredictiveAutoscaler(sim, [st_], 0.0)
-        with pytest.raises(ValueError):
-            PredictiveAutoscaler(sim, [st_], MU, alpha=0.0)
-        with pytest.raises(ValueError):
-            PredictiveAutoscaler(sim, [st_], MU, headroom_sigmas=-1.0)
-        with pytest.raises(ValueError):
-            PredictiveAutoscaler(sim, [st_], MU, interval=0.0)
-        with pytest.raises(ValueError):
-            PredictiveAutoscaler(sim, [st_], MU, min_servers=3, max_servers=2)
 
 
 class TestBoundedStation:

@@ -14,7 +14,6 @@ from repro.queueing.distributions import (
     Exponential,
     HyperExponential,
     LogNormal,
-    Pareto,
     Uniform,
 )
 
@@ -46,11 +45,6 @@ class TestShapes:
         d = Uniform(0.5, 2.5)
         xs = d.sample(np.random.default_rng(4), N)
         assert ks_pvalue(xs, sps.uniform(loc=0.5, scale=2.0).cdf) > ALPHA
-
-    def test_pareto_lomax(self):
-        d = Pareto(3.5, 1.0)
-        xs = d.sample(np.random.default_rng(5), N)
-        assert ks_pvalue(xs, sps.lomax(c=3.5, scale=d.scale).cdf) > ALPHA
 
     def test_hyperexponential_mixture_cdf(self):
         d = HyperExponential.balanced(1.0, 4.0)

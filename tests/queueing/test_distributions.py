@@ -9,12 +9,10 @@ from hypothesis import strategies as st
 
 from repro.queueing.distributions import (
     Deterministic,
-    Empirical,
     Erlang,
     Exponential,
     HyperExponential,
     LogNormal,
-    Pareto,
     Uniform,
     fit_two_moments,
 )
@@ -42,9 +40,6 @@ class TestDeterministic:
         with pytest.raises(ValueError):
             Deterministic(-1.0)
 
-    def test_scaled(self):
-        assert Deterministic(2.0).scaled(3.0).value == 6.0
-
 
 class TestExponential:
     def test_moments(self):
@@ -52,11 +47,7 @@ class TestExponential:
         assert d.mean == 0.5
         assert d.variance == 0.25
         assert d.cv2 == pytest.approx(1.0)
-
-    def test_from_rate(self):
-        d = Exponential.from_rate(4.0)
-        assert d.mean == pytest.approx(0.25)
-        assert d.rate == pytest.approx(4.0)
+        assert d.rate == pytest.approx(2.0)
 
     def test_sample_mean_converges(self):
         d = Exponential(2.0)
@@ -66,8 +57,6 @@ class TestExponential:
     def test_invalid(self):
         with pytest.raises(ValueError):
             Exponential(0.0)
-        with pytest.raises(ValueError):
-            Exponential.from_rate(-1.0)
 
 
 class TestErlang:
@@ -136,23 +125,6 @@ class TestLogNormal:
             LogNormal(1.0, 0.0)
 
 
-class TestPareto:
-    def test_moments(self):
-        d = Pareto(3.0, 2.0)
-        assert d.mean == pytest.approx(2.0)
-        # Lomax variance: s^2 a / ((a-1)^2 (a-2))
-        assert d.variance == pytest.approx(16.0 * 3.0 / (4.0 * 1.0))
-
-    def test_sample_mean(self):
-        d = Pareto(4.0, 1.0)
-        xs = d.sample(np.random.default_rng(5), 500_000)
-        assert xs.mean() == pytest.approx(1.0, rel=0.05)
-
-    def test_requires_alpha_above_two(self):
-        with pytest.raises(ValueError):
-            Pareto(2.0, 1.0)
-
-
 class TestUniform:
     def test_moments(self):
         d = Uniform(1.0, 3.0)
@@ -162,27 +134,6 @@ class TestUniform:
     def test_invalid_interval(self):
         with pytest.raises(ValueError):
             Uniform(3.0, 1.0)
-
-
-class TestEmpirical:
-    def test_moments_match_data(self):
-        vals = [1.0, 2.0, 3.0, 4.0]
-        d = Empirical(vals)
-        assert d.mean == pytest.approx(2.5)
-        assert d.variance == pytest.approx(np.var(vals))
-
-    def test_samples_come_from_data(self):
-        d = Empirical([1.0, 5.0])
-        xs = d.sample(np.random.default_rng(6), 100)
-        assert set(np.unique(xs)) <= {1.0, 5.0}
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            Empirical([])
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            Empirical([1.0, -2.0])
 
 
 class TestFitTwoMoments:
@@ -219,20 +170,6 @@ class TestFitTwoMoments:
             fit_two_moments(1.0, -0.5)
 
 
-class TestScaled:
-    @given(factor=st.floats(min_value=0.01, max_value=100.0))
-    @settings(max_examples=50)
-    def test_scaling_preserves_cv2(self, factor):
-        for d in (Exponential(1.0), Erlang(3, 2.0), HyperExponential.balanced(1.0, 4.0)):
-            s = d.scaled(factor)
-            assert math.isclose(s.mean, d.mean * factor, rel_tol=1e-9)
-            assert math.isclose(s.cv2, d.cv2, rel_tol=1e-6)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            Exponential(1.0).scaled(0.0)
-
-
 class TestSamplesAreNonNegative:
     @pytest.mark.parametrize(
         "dist",
@@ -242,9 +179,7 @@ class TestSamplesAreNonNegative:
             Erlang(3, 1.0),
             HyperExponential.balanced(1.0, 4.0),
             LogNormal(1.0, 1.0),
-            Pareto(3.0, 1.0),
             Uniform(0.0, 2.0),
-            Empirical([0.5, 1.5]),
         ],
         ids=lambda d: type(d).__name__,
     )

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.queueing.base import StabilityError
-from repro.queueing.ggk import GG1, GGk, allen_cunneen_wait, bolch_prob_wait, kingman_wait
+from repro.queueing.ggk import allen_cunneen_wait, bolch_prob_wait, kingman_wait
 from repro.queueing.mm1 import MM1
 from repro.queueing.mmk import MMk, erlang_c
 
@@ -134,21 +134,6 @@ class TestAllenCunneen:
 
 
 class TestModelObjects:
-    def test_gg1_mean_response(self):
-        q = GG1(8.0, 10.0, 1.0, 1.0)
-        assert q.mean_response() == pytest.approx(q.mean_wait() + 0.1)
-        assert q.utilization == pytest.approx(0.8)
-
-    def test_ggk_prob_wait_methods(self):
-        q_b = GGk(40.0, 13.0, 5, 1.0, 1.0, prob_wait="bolch")
-        q_e = GGk(40.0, 13.0, 5, 1.0, 1.0, prob_wait="erlang")
-        assert q_e.prob_wait() == pytest.approx(erlang_c(5, 40.0 / 13.0))
-        assert 0.0 <= q_b.prob_wait() <= 1.0
-
-    def test_ggk_mean_response(self):
-        q = GGk(40.0, 13.0, 5, 2.0, 0.5)
-        assert q.mean_response() == pytest.approx(q.mean_wait() + 1.0 / 13.0)
-
     @given(
         rho=st.floats(min_value=0.75, max_value=0.95),
         k=st.integers(min_value=2, max_value=10),
@@ -161,6 +146,6 @@ class TestModelObjects:
         Allen-Cunneen (rho > 0.7).
         """
         mu = 13.0
-        edge = GG1(rho * mu, mu, 1.5, 0.8)
-        cloud = GGk(rho * k * mu, mu, k, 1.5, 0.8)
-        assert cloud.mean_wait() < edge.mean_wait()
+        edge = kingman_wait(rho * mu, mu, 1.5, 0.8)
+        cloud = allen_cunneen_wait(rho * k * mu, mu, k, 1.5, 0.8)
+        assert cloud < edge

@@ -7,7 +7,6 @@ from repro.queueing.distributions import Deterministic
 from repro.sim.engine import Simulation
 from repro.sim.loadbalancer import (
     JoinShortestQueue,
-    LeastWorkLeft,
     RandomDispatch,
     RoundRobin,
 )
@@ -99,12 +98,8 @@ class TestPolicies:
         picks = {JoinShortestQueue().choose(stations, RNG).name for _ in range(100)}
         assert picks == {"s0", "s1"}
 
-    def test_least_work_prefers_smallest_backlog(self):
-        stations = stations_with_occupancy([4, 1, 2])
-        assert LeastWorkLeft().choose(stations, RNG).name == "s1"
-
     def test_empty_backends_rejected(self):
-        for policy in (RoundRobin(), RandomDispatch(), JoinShortestQueue(), LeastWorkLeft()):
+        for policy in (RoundRobin(), RandomDispatch(), JoinShortestQueue()):
             with pytest.raises(ValueError):
                 policy.choose([], RNG)
 
@@ -114,12 +109,6 @@ class TestHealthAwareness:
         stations = stations_with_occupancy([0, 3, 3])
         stations[0].fail()  # emptiest, but down
         picks = {JoinShortestQueue().choose(stations, RNG).name for _ in range(50)}
-        assert "s0" not in picks
-
-    def test_least_work_never_picks_failed_station(self):
-        stations = stations_with_occupancy([0, 3, 3])
-        stations[0].fail()
-        picks = {LeastWorkLeft().choose(stations, RNG).name for _ in range(50)}
         assert "s0" not in picks
 
     def test_all_failed_falls_back_to_full_set(self):
@@ -135,45 +124,3 @@ class TestHealthAwareness:
         stations[0].repair()
         assert JoinShortestQueue().choose(stations, RNG).name == "s0"
 
-
-class TestBackpressureDispatch:
-    def test_steers_around_saturated_backend(self):
-        from repro.sim.loadbalancer import BackpressureDispatch
-
-        stations = stations_with_occupancy([5, 1, 1])
-        policy = BackpressureDispatch(pressure_limit=2.0)
-        picks = {policy.choose(stations, RNG).name for _ in range(50)}
-        assert "s0" not in picks
-        assert policy.steered == 50
-
-    def test_no_steering_when_all_open(self):
-        from repro.sim.loadbalancer import BackpressureDispatch
-
-        stations = stations_with_occupancy([1, 0, 1])
-        policy = BackpressureDispatch(pressure_limit=4.0)
-        policy.choose(stations, RNG)
-        assert policy.steered == 0
-
-    def test_all_saturated_picks_least_pressured(self):
-        from repro.sim.loadbalancer import BackpressureDispatch
-
-        stations = stations_with_occupancy([5, 3, 4])
-        policy = BackpressureDispatch(pressure_limit=1.0)
-        assert policy.choose(stations, RNG).name == "s1"
-
-    def test_skips_failed_stations(self):
-        from repro.sim.loadbalancer import BackpressureDispatch
-
-        stations = stations_with_occupancy([0, 3, 3])
-        stations[0].fail()
-        picks = {
-            BackpressureDispatch(pressure_limit=10.0).choose(stations, RNG).name
-            for _ in range(50)
-        }
-        assert "s0" not in picks
-
-    def test_validation(self):
-        from repro.sim.loadbalancer import BackpressureDispatch
-
-        with pytest.raises(ValueError):
-            BackpressureDispatch(pressure_limit=0.0)

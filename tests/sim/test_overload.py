@@ -290,15 +290,6 @@ class TestRefusalTaxonomy:
         assert st.arrivals == st.completions + st.drops + st.shed + st.rejected
         assert st.busy == 0 and st.queue_length == 0
 
-    def test_pressure_signal(self):
-        sim = Simulation(0)
-        st = Station(sim, 2, Deterministic(1.0))
-        assert st.pressure() == 0.0
-        for rid in range(6):
-            sim.schedule(0.0, st.arrive, make_request(rid))
-        sim.run(until=0.5)
-        assert st.pressure() == pytest.approx(3.0)  # 6 in system / 2 servers
-
 
 class TestDeploymentOutcomes:
     def _run_site(self, **station_kw):

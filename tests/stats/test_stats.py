@@ -7,10 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.stats.ci import batch_means_ci
 from repro.stats.summary import quantiles, summarize
-from repro.stats.timeseries import windowed_mean, windowed_percentile
-from repro.stats.warmup import mser_cutoff, trim_warmup
+from repro.stats.timeseries import windowed_mean
 
 
 class TestSummarize:
@@ -100,25 +98,14 @@ class TestWindowedSeries:
         assert means[1] == pytest.approx(10.0)
         assert np.isnan(means[2])
 
-    def test_windowed_percentile(self):
-        t = np.repeat([0.5, 1.5], 100)
-        v = np.concatenate([np.linspace(0, 1, 100), np.linspace(10, 11, 100)])
-        starts, p95 = windowed_percentile(t, v, 1.0, 0.95)
-        assert p95[0] == pytest.approx(0.95, abs=0.02)
-        assert p95[1] == pytest.approx(10.95, abs=0.02)
-
     def test_misaligned_rejected(self):
         with pytest.raises(ValueError):
             windowed_mean(np.array([1.0]), np.array([1.0, 2.0]), 1.0)
-        with pytest.raises(ValueError):
-            windowed_percentile(np.array([1.0]), np.array([1.0, 2.0]), 1.0, 0.5)
 
     def test_bad_params_rejected(self):
         t = v = np.array([1.0])
         with pytest.raises(ValueError):
             windowed_mean(t, v, 0.0)
-        with pytest.raises(ValueError):
-            windowed_percentile(t, v, 1.0, 1.5)
 
     @given(seed=st.integers(min_value=0, max_value=100))
     @settings(max_examples=30)
@@ -129,66 +116,3 @@ class TestWindowedSeries:
         _, means = windowed_mean(t, v, 10.0, horizon=10.0)
         assert means[0] == pytest.approx(v.mean())
 
-
-class TestBatchMeansCI:
-    def test_covers_iid_mean(self):
-        rng = np.random.default_rng(2)
-        x = rng.exponential(1.0, 100_000)
-        mean, hw = batch_means_ci(x, batches=20)
-        assert abs(mean - 1.0) < 3 * hw
-        assert hw < 0.05
-
-    def test_wider_for_autocorrelated_data(self):
-        rng = np.random.default_rng(3)
-        iid = rng.normal(0.0, 1.0, 40_000)
-        # AR(1) with strong positive correlation.
-        ar = np.empty(40_000)
-        ar[0] = 0.0
-        noise = rng.normal(0.0, 1.0, 40_000)
-        for i in range(1, 40_000):
-            ar[i] = 0.95 * ar[i - 1] + noise[i]
-        _, hw_iid = batch_means_ci(iid)
-        _, hw_ar = batch_means_ci(ar)
-        assert hw_ar > 2 * hw_iid
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            batch_means_ci(np.ones(100), batches=1)
-        with pytest.raises(ValueError):
-            batch_means_ci(np.ones(10), batches=20)
-        with pytest.raises(ValueError):
-            batch_means_ci(np.ones(100), confidence=1.0)
-
-
-class TestWarmup:
-    def test_mser_detects_transient(self):
-        rng = np.random.default_rng(4)
-        transient = np.linspace(5.0, 1.0, 500) + rng.normal(0, 0.1, 500)
-        steady = 1.0 + rng.normal(0, 0.1, 4500)
-        cut = mser_cutoff(np.concatenate([transient, steady]))
-        assert 200 <= cut <= 1500
-
-    def test_mser_zero_for_stationary(self):
-        rng = np.random.default_rng(5)
-        cut = mser_cutoff(rng.normal(1.0, 0.1, 5000))
-        assert cut < 1500
-
-    def test_short_series_uncut(self):
-        assert mser_cutoff(np.ones(5)) == 0
-
-    def test_trim_fraction(self):
-        x = np.arange(100.0)
-        assert trim_warmup(x, fraction=0.25).size == 75
-
-    def test_trim_auto_uses_mser(self):
-        rng = np.random.default_rng(6)
-        x = np.concatenate([np.full(500, 10.0), rng.normal(1.0, 0.1, 4500)])
-        trimmed = trim_warmup(x)
-        assert trimmed.size < x.size
-        assert trimmed.mean() < 2.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            trim_warmup(np.ones(10), fraction=1.0)
-        with pytest.raises(ValueError):
-            mser_cutoff(np.ones(10), batch=0)

@@ -1,4 +1,4 @@
-"""Property-based tests for LatencySummary and warm-up trimming."""
+"""Property-based tests for LatencySummary."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.stats.summary import summarize
-from repro.stats.warmup import mser_cutoff, trim_warmup
 
 positive_samples = arrays(
     dtype=np.float64,
@@ -49,43 +48,3 @@ class TestSummaryProperties:
         s = summarize(np.full(10, 3.0))
         assert s.std == 0.0 and s.cv2 == 0.0 and s.iqr == 0.0
 
-
-class TestWarmupProperties:
-    @given(
-        xs=arrays(
-            dtype=np.float64,
-            shape=st.integers(min_value=10, max_value=400),
-            elements=st.floats(min_value=0.0, max_value=100.0, allow_nan=False),
-        )
-    )
-    @settings(max_examples=80)
-    def test_cutoff_bounded_by_half(self, xs):
-        cut = mser_cutoff(xs)
-        assert 0 <= cut <= xs.size // 2 * 5  # batches of 5, capped at half
-
-    @given(
-        xs=arrays(
-            dtype=np.float64,
-            shape=st.integers(min_value=1, max_value=200),
-            elements=st.floats(min_value=0.0, max_value=100.0, allow_nan=False),
-        ),
-        frac=st.floats(min_value=0.0, max_value=0.99),
-    )
-    @settings(max_examples=80)
-    def test_fraction_trim_size(self, xs, frac):
-        trimmed = trim_warmup(xs, fraction=frac)
-        assert trimmed.size == xs.size - int(frac * xs.size)
-
-    @given(
-        xs=arrays(
-            dtype=np.float64,
-            shape=st.integers(min_value=10, max_value=200),
-            elements=st.floats(min_value=0.0, max_value=100.0, allow_nan=False),
-        )
-    )
-    @settings(max_examples=50)
-    def test_auto_trim_is_suffix(self, xs):
-        trimmed = trim_warmup(xs)
-        assert trimmed.size <= xs.size
-        if trimmed.size:
-            np.testing.assert_array_equal(trimmed, xs[xs.size - trimmed.size:])

@@ -128,13 +128,6 @@ class TestCompatibilityShims:
         assert loaded["metadata"]["description"]
         assert loaded["data"]["skew"]["cell_cv"] > 0
 
-    def test_render_result_header(self):
-        from repro.experiments.report import render_result
-
-        result = ExperimentResult(name="x", text="body", metadata={"description": "d"})
-        out = render_result(result)
-        assert out.startswith("== x: d ==") and "body" in out
-
     def test_top_level_reexports(self):
         import repro
 

@@ -265,13 +265,6 @@ class TestExportersAndSchema:
         with pytest.raises(obs.SchemaError):
             obs.validate_record(bad)
 
-    def test_console_exporter_renders_rows(self, capsys):
-        exporter = obs.ConsoleTableExporter()
-        with obs.installed(lambda: obs.Telemetry(window=20.0, exporters=[exporter])):
-            _small_run()
-        out = capsys.readouterr().out
-        assert "thru/s" in out and len(out.splitlines()) >= 2
-
 
 # ---------------------------------------------------------------------------
 # Enablement model

@@ -4,6 +4,7 @@ A release-gate test: `__all__` in each package must resolve, and the
 lazy top-level exports must work (PEP 562 indirection is easy to break
 silently when moving symbols)."""
 
+import ast
 import importlib
 import os
 import subprocess
@@ -87,6 +88,50 @@ def test_api_facade_matches_deep_imports():
     assert api.run_experiment is run_experiment
 
 
+REPO = Path(__file__).resolve().parents[1]
+DOCS = ("README.md", "DESIGN.md", "EXPERIMENTS.md", "docs/*.md")
+
+
+def _doc_imports(text):
+    """Each ``from repro...`` / ``import repro...`` statement in a fenced block."""
+    statements, fenced, pending = [], False, None
+    for line in text.splitlines():
+        stripped = line.strip()
+        if stripped.startswith("```"):
+            fenced, pending = not fenced, None
+        elif pending is not None:
+            pending.append(stripped)
+            if ")" in stripped:
+                statements.append("\n".join(pending))
+                pending = None
+        elif fenced and stripped.startswith(("from repro", "import repro")):
+            if "(" in stripped and ")" not in stripped:
+                pending = [stripped]
+            else:
+                statements.append(stripped)
+    return statements
+
+
+def test_doc_imports_resolve():
+    """Every ``repro`` import in the docs' code blocks resolves, name by name."""
+    checked, failed = 0, []
+    for pattern in DOCS:
+        for doc in sorted(REPO.glob(pattern)):
+            for statement in _doc_imports(doc.read_text()):
+                node = ast.parse(statement).body[0]
+                if isinstance(node, ast.ImportFrom):
+                    imports = [f"from {node.module} import {a.name}" for a in node.names]
+                else:
+                    imports = [f"import {a.name}" for a in node.names]
+                for line in imports:
+                    checked += 1
+                    try:
+                        exec(line, {})
+                    except ImportError as exc:
+                        failed.append(f"{doc.relative_to(REPO)}: {line} ({exc})")
+    assert checked and not failed, failed
+
+
 def test_scipy_stays_off_the_import_path():
     """Importing the program and every analytic prediction load no SciPy;
     only a confidence interval imports ``scipy.stats``, on first use.
@@ -105,10 +150,9 @@ MMk(5.0, 1.625, 8).response_time_percentile(0.95)
 loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 assert not loaded, f"{len(loaded)} SciPy modules loaded: {loaded[:5]}"
 
-import numpy as np
-from repro.stats.ci import batch_means_ci
+from repro.stats.replications import ReplicationSummary
 
-batch_means_ci(np.arange(100.0))
+ReplicationSummary((1.0, 2.0, 3.0), 0.95).half_width
 assert "scipy.stats" in sys.modules
 """
     _run_fresh(child)

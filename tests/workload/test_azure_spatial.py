@@ -8,7 +8,7 @@ from repro.workload.azure import (
     generate_azure_workload,
     group_functions_into_sites,
 )
-from repro.workload.spatial import HotspotGrid, time_varying_weights, zipf_weights
+from repro.workload.spatial import HotspotGrid, zipf_weights
 from repro.workload.trace import RequestTrace
 
 SMALL = AzureTraceConfig(n_functions=20, duration=1800.0, total_rate=30.0)
@@ -106,28 +106,6 @@ class TestZipfWeights:
             zipf_weights(0, 1.0)
         with pytest.raises(ValueError):
             zipf_weights(3, -1.0)
-
-
-class TestTimeVaryingWeights:
-    def test_normalized_at_all_times(self):
-        for t in np.linspace(0, 86_400.0, 17):
-            w = time_varying_weights(5, 1.0, t, 86_400.0)
-            assert w.sum() == pytest.approx(1.0)
-            assert np.all(w >= 0)
-
-    def test_period_returns_to_start(self):
-        w0 = time_varying_weights(5, 1.0, 0.0, 100.0)
-        w1 = time_varying_weights(5, 1.0, 100.0, 100.0)
-        np.testing.assert_allclose(w0, w1, atol=1e-12)
-
-    def test_hot_site_moves(self):
-        w0 = time_varying_weights(5, 1.5, 0.0, 100.0)
-        w_half = time_varying_weights(5, 1.5, 50.0, 100.0)
-        assert int(np.argmax(w0)) != int(np.argmax(w_half))
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            time_varying_weights(5, 1.0, 0.0, 0.0)
 
 
 class TestHotspotGrid:

@@ -3,18 +3,20 @@
 import numpy as np
 import pytest
 
-from repro.workload.arrivals import HyperExpArrivals, MMPPArrivals, PoissonArrivals
+from repro.queueing.distributions import Exponential, HyperExponential
+from repro.workload.arrivals import MMPPArrivals
 from repro.workload.characterize import (
     characterize,
     index_of_dispersion,
     spatial_skew_profile,
 )
 from repro.workload.trace import RequestTrace
+from tests.workload.test_arrivals_service import renewal_trace
 
 
 class TestCharacterize:
     def test_poisson_profile(self):
-        trace = PoissonArrivals(10.0).generate(np.random.default_rng(0), horizon=5000.0)
+        trace = renewal_trace(Exponential(1.0 / 10.0), np.random.default_rng(0), 5000.0)
         p = characterize(trace, window=60.0)
         assert p.mean_rate == pytest.approx(10.0, rel=0.05)
         assert p.interarrival_cv2 == pytest.approx(1.0, rel=0.1)
@@ -32,8 +34,8 @@ class TestCharacterize:
         assert not p.suggests_poisson()
 
     def test_renewal_burstiness_captured_by_cv2(self):
-        trace = HyperExpArrivals(10.0, 4.0).generate(
-            np.random.default_rng(2), horizon=8000.0
+        trace = renewal_trace(
+            HyperExponential.balanced(1.0 / 10.0, 4.0), np.random.default_rng(2), 8000.0
         )
         p = characterize(trace)
         assert p.interarrival_cv2 == pytest.approx(4.0, rel=0.25)
@@ -53,7 +55,7 @@ class TestCharacterize:
 
 class TestIndexOfDispersion:
     def test_poisson_near_one(self):
-        trace = PoissonArrivals(20.0).generate(np.random.default_rng(4), horizon=10_000.0)
+        trace = renewal_trace(Exponential(1.0 / 20.0), np.random.default_rng(4), 10_000.0)
         assert index_of_dispersion(trace, 30.0) == pytest.approx(1.0, abs=0.25)
 
     def test_deterministic_near_zero(self):

@@ -4,8 +4,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.workload.trace import RequestTrace
 
@@ -68,10 +66,6 @@ class TestOperations:
         with pytest.raises(ValueError):
             make_trace().slice(2.0, 1.0)
 
-    def test_shifted(self):
-        t = RequestTrace(np.array([1.0, 2.0]))
-        np.testing.assert_allclose(t.shifted(10.0).arrival_times, [11.0, 12.0])
-
     def test_interarrival_cv2_poisson_near_one(self):
         t = make_trace(n=100_000, seed=1)
         assert t.interarrival_cv2() == pytest.approx(1.0, rel=0.05)
@@ -112,31 +106,3 @@ class TestMergeSplit:
     def test_merge_empty_list_rejected(self):
         with pytest.raises(ValueError):
             RequestTrace.merge([])
-
-    def test_split_partitions_everything(self):
-        t = make_trace(n=5000, seed=2)
-        parts = t.split_by_weights([0.5, 0.3, 0.2], np.random.default_rng(0))
-        assert sum(len(p) for p in parts) == len(t)
-
-    def test_split_respects_weights(self):
-        t = make_trace(n=50_000, seed=3)
-        parts = t.split_by_weights([0.8, 0.2], np.random.default_rng(1))
-        assert len(parts[0]) / len(t) == pytest.approx(0.8, abs=0.02)
-
-    def test_split_rejects_bad_weights(self):
-        t = make_trace()
-        with pytest.raises(ValueError):
-            t.split_by_weights([0.0, 0.0], np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            t.split_by_weights([-1.0, 2.0], np.random.default_rng(0))
-
-    @given(seed=st.integers(min_value=0, max_value=200), k=st.integers(min_value=1, max_value=6))
-    @settings(max_examples=40, deadline=None)
-    def test_split_then_merge_is_identity_as_multiset(self, seed, k):
-        t = make_trace(n=300, seed=seed)
-        parts = t.split_by_weights(np.ones(k), np.random.default_rng(seed))
-        merged = RequestTrace.merge(parts)
-        np.testing.assert_allclose(np.sort(merged.arrival_times), t.arrival_times)
-        np.testing.assert_allclose(
-            np.sort(merged.service_times), np.sort(t.service_times)
-        )
