@@ -12,11 +12,16 @@ and feeds the same arrays to the edge sites and, merged, to the cloud
 vectorized :mod:`repro.sim.fastsim` recursion, so a full Figure 7-style
 sweep takes seconds; ``engine="des"`` replays the same arrays through
 the event engine instead and reproduces fastsim's numbers to rounding.
+A sweep that only feeds a crossover (``sweep(until=...)``, used by
+:meth:`EdgeCloudComparator.find_crossover` and Figure 7) stops at the
+first point where every named metric has inverted, so the busy points
+past the crossovers, the most expensive ones, are never simulated.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -38,6 +43,9 @@ from repro.workload.trace import RequestTrace
 #: balancer in front of one backend per cloud machine.
 _CLOUD_POLICIES = (None, "central", "round-robin", "jsq")
 
+#: Metric names a sweep can stop on: every :class:`LatencySummary` field.
+_METRICS = frozenset(f.name for f in fields(LatencySummary))
+
 __all__ = ["SweepPoint", "ComparisonResult", "EdgeCloudComparator"]
 
 
@@ -55,9 +63,27 @@ class SweepPoint:
         return getattr(self.edge, metric) - getattr(self.cloud, metric)
 
 
+def _first_inverted(points, metric: str) -> int | None:
+    """Index of the first point where the edge is worse on ``metric``.
+
+    The one rule for "where the edge first loses": both
+    :meth:`ComparisonResult.crossover_rate` and ``sweep(until=)``'s stop
+    read it.  ``None`` if the edge stays ahead at every point.
+    """
+    return next((i for i, p in enumerate(points) if p.gap(metric) > 0), None)
+
+
+class _Crossed(Exception):
+    """Raised from a sweep's result hook once its ``until`` metrics inverted."""
+
+
 @dataclass(frozen=True)
 class ComparisonResult:
-    """A rate sweep of one scenario (a Figure 3/4/5-style series)."""
+    """A rate sweep of one scenario (a Figure 3/4/5-style series).
+
+    A ``sweep(until=...)`` result holds only the prefix up to its
+    crossovers, so its :meth:`series` is not a whole curve.
+    """
 
     scenario: Scenario
     points: tuple[SweepPoint, ...]
@@ -76,15 +102,14 @@ class ComparisonResult:
         ``None`` if no inversion occurs in the swept range.  A sweep that
         *starts* inverted returns its first rate.
         """
-        gaps = [p.gap(metric) for p in self.points]
-        if gaps[0] > 0:
+        i = _first_inverted(self.points, metric)
+        if i is None:
+            return None
+        if i == 0:
             return self.points[0].rate_per_site
-        for i in range(1, len(gaps)):
-            if gaps[i] > 0:
-                r0, r1 = self.points[i - 1].rate_per_site, self.points[i].rate_per_site
-                g0, g1 = gaps[i - 1], gaps[i]
-                return r0 + (r1 - r0) * (-g0) / (g1 - g0)
-        return None
+        r0, r1 = self.points[i - 1].rate_per_site, self.points[i].rate_per_site
+        g0, g1 = self.points[i - 1].gap(metric), self.points[i].gap(metric)
+        return r0 + (r1 - r0) * (-g0) / (g1 - g0)
 
     def crossover_utilization(self, metric: str = "mean") -> float | None:
         """Utilization at the crossover rate (the paper's cutoff ρ)."""
@@ -137,8 +162,8 @@ class EdgeCloudComparator:
     ):
         if requests_per_site < 100:
             raise ValueError(f"requests_per_site too small: {requests_per_site}")
-        if arrival_cv2 < 0:
-            raise ValueError(f"arrival_cv2 must be >= 0, got {arrival_cv2}")
+        if not (math.isfinite(arrival_cv2) and arrival_cv2 >= 0):
+            raise ValueError(f"arrival_cv2 must be finite and >= 0, got {arrival_cv2}")
         if not 0.0 <= warmup_fraction < 1.0:
             raise ValueError(f"warmup_fraction must be in [0, 1), got {warmup_fraction}")
         if engine not in ("fastsim", "des"):
@@ -187,6 +212,17 @@ class EdgeCloudComparator:
             services.append(np.asarray(service.sample(rng, n), dtype=float))
         return arrivals, services
 
+    def _check_rate(self, rate_per_site: float) -> None:
+        """Reject a per-site rate that no sweep point can measure."""
+        s = self.scenario
+        if not (math.isfinite(rate_per_site) and rate_per_site > 0):
+            raise ValueError(f"rate_per_site must be finite and > 0, got {rate_per_site}")
+        if s.utilization(rate_per_site) >= 1.0:
+            raise ValueError(
+                f"rate {rate_per_site} req/s saturates a site "
+                f"(max {s.saturation_rate_per_site} req/s)"
+            )
+
     def measure_point(self, rate_per_site: float, seed_offset: int = 0) -> SweepPoint:
         """Simulate edge and cloud at one per-site rate.
 
@@ -195,13 +231,7 @@ class EdgeCloudComparator:
         their own arrays, the cloud serves all of them merged.
         """
         s = self.scenario
-        if rate_per_site <= 0:
-            raise ValueError(f"rate_per_site must be > 0, got {rate_per_site}")
-        if s.utilization(rate_per_site) >= 1.0:
-            raise ValueError(
-                f"rate {rate_per_site} req/s saturates a site "
-                f"(max {s.saturation_rate_per_site} req/s)"
-            )
+        self._check_rate(rate_per_site)
         # SeedSequence-derived child stream: collision-free across sweep
         # points *and* across comparators with nearby base seeds (the old
         # ``seed + 7919 * offset`` arithmetic could alias other
@@ -305,6 +335,7 @@ class EdgeCloudComparator:
         self,
         rates,
         *,
+        until: tuple[str, ...] = (),
         workers: int | None = None,
         checkpoint=None,
         resume: bool = False,
@@ -314,7 +345,21 @@ class EdgeCloudComparator:
         Parameters
         ----------
         rates:
-            Per-site request rates to measure, in order.
+            Per-site request rates to measure, in order.  Every rate is
+            checked as :meth:`measure_point` checks it before any point
+            is measured.
+        until:
+            Metric names (:class:`~repro.stats.summary.LatencySummary`
+            fields, e.g. ``("mean", "p95")``).  Empty (the default)
+            measures every rate.  Otherwise the sweep stops after the
+            first point at which every named metric's edge-minus-cloud
+            gap has been positive and returns that prefix of the points,
+            the same prefix at every worker count, so each named metric's
+            :meth:`ComparisonResult.crossover_rate` equals the full
+            sweep's.  If a named metric never inverts, every rate is
+            measured.  With ``workers > 1`` the later points still in
+            flight when the sweep stops are terminated; one that finished
+            first is journaled but not returned.
         workers:
             Process count for the fan-out (``None`` = ``$REPRO_WORKERS``
             or 1).  Each point's RNG stream is derived from its index, so
@@ -324,16 +369,38 @@ class EdgeCloudComparator:
             :class:`~repro.experiments.store.RunJournal`): completed
             points replay from disk, fresh points are durably appended —
             a killed sweep resumes bit-identically.  ``None`` (default)
-            adds zero overhead.
+            adds zero overhead.  Full and ``until`` sweeps of one
+            comparator share their records: either resumes the other.
         resume:
             Require the checkpoint to already exist (fail fast on a
             mistyped path instead of silently recomputing everything);
             a ``ValueError`` without ``checkpoint``.
         """
-        rates = list(rates)
+        rates = [float(r) for r in rates]
         if not rates:
             raise ValueError("rates must be non-empty")
+        unknown = sorted(set(until) - _METRICS)
+        if unknown:
+            raise ValueError(
+                f"until names unknown metrics {unknown}; choose from {sorted(_METRICS)}"
+            )
+        for rate in rates:
+            self._check_rate(rate)
         from repro.experiments.store import open_journal
+
+        # Points settle out of order at workers > 1 (and replayed ones
+        # first), so the stop reads only the contiguous prefix.
+        prefix: list[SweepPoint] = []
+        settled: dict[int, SweepPoint] = {}
+
+        def stop_at_crossovers(outcome) -> None:
+            if not outcome.ok:
+                return  # no point to file; run_tasks raises its error next
+            settled[outcome.index] = outcome.result
+            while len(prefix) in settled:
+                prefix.append(settled.pop(len(prefix)))
+                if all(_first_inverted(prefix, m) is not None for m in until):
+                    raise _Crossed
 
         journal, owned = open_journal(
             checkpoint, scope=self._journal_scope(), resume=resume
@@ -341,12 +408,15 @@ class EdgeCloudComparator:
         try:
             points = run_tasks(
                 self.measure_point,
-                [(float(r), i) for i, r in enumerate(rates)],
+                [(r, i) for i, r in enumerate(rates)],
                 workers=workers,
                 label="sweep point",
                 base_seed=self.seed,
                 journal=journal,
+                on_result=stop_at_crossovers if until else None,
             )
+        except _Crossed:
+            points = prefix
         finally:
             if owned:
                 journal.close()
@@ -364,15 +434,18 @@ class EdgeCloudComparator:
         """Locate the inversion point over a default utilization grid.
 
         Returns ``(rate, utilization)`` of the crossover, or
-        ``(None, None)`` if the edge stays ahead below saturation.
-        ``workers`` fans the underlying sweep across processes;
-        ``checkpoint``/``resume`` journal it (see :meth:`sweep`).
+        ``(None, None)`` if the edge stays ahead below saturation.  The
+        underlying sweep stops at the crossover (``until=(metric,)``), so
+        the grid points past it are never measured.  ``workers`` fans
+        that sweep across processes; ``checkpoint``/``resume`` journal it
+        (see :meth:`sweep`).
         """
         if utilizations is None:
             utilizations = np.arange(0.1, 0.96, 0.05)
         rates = [self.scenario.rate_for_utilization(float(u)) for u in utilizations]
         result = self.sweep(
-            rates, workers=workers, checkpoint=checkpoint, resume=resume
+            rates, until=(metric,), workers=workers, checkpoint=checkpoint,
+            resume=resume,
         )
         rate = result.crossover_rate(metric)
         if rate is None:

@@ -18,6 +18,7 @@ constant                  paper placement             cloud RTT
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 from repro.queueing.distributions import Distribution
@@ -61,6 +62,11 @@ class Scenario:
     service: DNNInferenceModel = field(default_factory=DNNInferenceModel)
 
     def __post_init__(self):
+        if not (math.isfinite(self.cloud_rtt_ms) and math.isfinite(self.edge_rtt_ms)):
+            raise ValueError(
+                f"RTTs must be finite, got cloud_rtt_ms={self.cloud_rtt_ms} and "
+                f"edge_rtt_ms={self.edge_rtt_ms}"
+            )
         if self.cloud_rtt_ms <= self.edge_rtt_ms:
             raise ValueError(
                 f"cloud RTT ({self.cloud_rtt_ms} ms) must exceed edge RTT "

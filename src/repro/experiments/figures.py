@@ -196,7 +196,9 @@ def fig7_cutoff_utilizations(config: ExperimentConfig = FAST) -> Fig7Result:
     Sweeps the paper's four cloud placements (15/24/54/80 ms) at k=5 and
     reports mean and p95 cutoffs plus the analytic prediction.  Cutoffs
     of ``None`` mean no inversion below ~95% utilization (the paper's
-    "close to saturation").
+    "close to saturation").  Each placement's sweep stops at the grid
+    point where both gaps have turned positive, so the busier points
+    past its cutoffs are never simulated.
     """
     means, tails, preds, rtts = [], [], [], []
     grid = np.arange(0.15, 0.97, 0.0665)  # ~13 sweep points
@@ -206,9 +208,12 @@ def fig7_cutoff_utilizations(config: ExperimentConfig = FAST) -> Fig7Result:
         )
         rates = [scenario.rate_for_utilization(float(u)) for u in grid]
         # One shared checkpoint file: per-comparator scopes (scenario +
-        # derived seed) keep the four placements' records disjoint.
+        # derived seed) keep the four placements' records disjoint.  The
+        # cutoffs read each sweep only up to its crossovers, so it stops
+        # there.
         result = cmp_.sweep(
             rates,
+            until=("mean", "p95"),
             workers=config.workers,
             checkpoint=config.checkpoint,
             resume=config.resume,

@@ -407,8 +407,13 @@ def run_tasks(
         final :class:`TaskOutcome` the moment it settles (journal
         replay, success, or exhausted failure) — completion order, not
         task order; retries in flight are not reported.  Lifecycle
-        streaming for :mod:`repro.service`.  Callback exceptions
-        propagate (they indicate a broken observer, not a broken task).
+        streaming for :mod:`repro.service`.  An exception raised by the
+        callback propagates and stops the run: a serial run stops at
+        once; workers still running a task are terminated and every
+        worker is reaped; every result journaled so far stays durable,
+        including the one being reported.  A broken observer fails the
+        run this way, and ``EdgeCloudComparator.sweep(until=)`` stops at
+        its crossovers this way.
 
     Returns
     -------

@@ -109,11 +109,6 @@ class Exponential(Distribution):
         self._mean = float(mean)
 
     @property
-    def rate(self) -> float:
-        """Rate parameter :math:`\\lambda = 1/E[X]`."""
-        return 1.0 / self._mean
-
-    @property
     def mean(self) -> float:
         return self._mean
 

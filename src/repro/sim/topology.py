@@ -301,8 +301,6 @@ class CloudDeployment(Deployment):
                 raise ValueError(f"servers ({servers}) must divide evenly among {backends} backends")
             per = servers // backends
             self._attach([station(per, f"cloud-{i}") for i in range(backends)])
-        if self._tel is not None and policy is not None:
-            self._tel.register_observables("lb.cloud", policy)
 
     def submit(self, request: Request) -> None:
         """Send a request from its client toward the cloud."""

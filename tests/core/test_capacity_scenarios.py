@@ -216,5 +216,11 @@ class TestScenario:
     def test_validation(self):
         with pytest.raises(ValueError):
             Scenario(name="bad", cloud_rtt_ms=1.0, edge_rtt_ms=1.0)
+        with pytest.raises(ValueError, match="RTTs must be finite, got cloud_rtt_ms=nan"):
+            Scenario(name="bad", cloud_rtt_ms=float("nan"))
+        with pytest.raises(ValueError, match="RTTs must be finite, got cloud_rtt_ms=inf"):
+            Scenario(name="bad", cloud_rtt_ms=float("inf"))
+        with pytest.raises(ValueError, match="RTTs must be finite.*edge_rtt_ms=nan"):
+            Scenario(name="bad", cloud_rtt_ms=24.0, edge_rtt_ms=float("nan"))
         with pytest.raises(ValueError):
             Scenario(name="bad", cloud_rtt_ms=10.0, sites=0)

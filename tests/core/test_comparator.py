@@ -1,5 +1,7 @@
 """Tests for the EdgeCloudComparator (analytic + measured comparison)."""
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,25 @@ from repro.core.comparator import ComparisonResult, EdgeCloudComparator, SweepPo
 from repro.core.scenarios import DISTANT_CLOUD, TYPICAL_CLOUD
 from repro.sim.loadbalancer import RoundRobin
 from repro.stats.summary import LatencySummary, summarize
+
+
+def count_measure_point(monkeypatch):
+    """Rates ``EdgeCloudComparator.measure_point`` is called with, in order.
+
+    The wrapper keeps the method's qualified name, so journal keys (which
+    name the callable) are unchanged.  Only in-process (serial) calls are
+    seen.
+    """
+    rates = []
+    raw = EdgeCloudComparator.measure_point
+
+    @functools.wraps(raw)
+    def counting(self, rate_per_site, seed_offset=0):
+        rates.append(rate_per_site)
+        return raw(self, rate_per_site, seed_offset)
+
+    monkeypatch.setattr(EdgeCloudComparator, "measure_point", counting)
+    return rates
 
 
 def make_summary(mean, p95):
@@ -118,6 +139,19 @@ class TestMeasurement:
             typical_cmp.measure_point(13.5)
         with pytest.raises(ValueError):
             typical_cmp.measure_point(0.0)
+        with pytest.raises(ValueError, match="rate_per_site must be finite and > 0, got nan"):
+            typical_cmp.measure_point(float("nan"))
+        with pytest.raises(ValueError, match="rate_per_site must be finite and > 0, got inf"):
+            typical_cmp.measure_point(float("inf"))
+
+    def test_sweep_checks_every_rate_before_measuring(self, monkeypatch):
+        measured = count_measure_point(monkeypatch)
+        cmp_ = EdgeCloudComparator(TYPICAL_CLOUD, requests_per_site=1000, seed=5)
+        with pytest.raises(ValueError, match="saturates a site"):
+            cmp_.sweep([6.0, 13.5])
+        with pytest.raises(ValueError, match="got nan"):
+            cmp_.sweep([6.0, float("nan")], until=("mean",))
+        assert measured == []
 
     def test_sweep_and_crossover_near_paper_value(self):
         cmp_ = EdgeCloudComparator(TYPICAL_CLOUD, requests_per_site=60_000, seed=6)
@@ -138,6 +172,80 @@ class TestMeasurement:
     def test_empty_sweep_rejected(self, typical_cmp):
         with pytest.raises(ValueError):
             typical_cmp.sweep([])
+
+
+#: The Figure 7 grid: 13 utilizations from 0.15 to 0.948.
+FIG7_GRID = np.arange(0.15, 0.97, 0.0665)
+
+
+def first_inverted(points, metric):
+    return next(i for i, p in enumerate(points) if p.gap(metric) > 0)
+
+
+class TestSweepUntil:
+    """``sweep(until=)`` returns the full sweep's prefix up to its crossovers."""
+
+    RATES = [TYPICAL_CLOUD.rate_for_utilization(float(u)) for u in FIG7_GRID]
+
+    @pytest.fixture(scope="class")
+    def cmp_(self):
+        return EdgeCloudComparator(TYPICAL_CLOUD, requests_per_site=2000, seed=5)
+
+    @pytest.fixture(scope="class")
+    def full(self, cmp_):
+        full = cmp_.sweep(self.RATES)
+        # The metrics invert at different points, so each stop is its own.
+        assert first_inverted(full.points, "p95") < first_inverted(full.points, "mean")
+        assert first_inverted(full.points, "mean") < len(self.RATES) - 1
+        return full
+
+    @pytest.mark.parametrize("until", [("mean",), ("p95",), ("mean", "p95")])
+    def test_prefix_up_to_the_crossovers(self, cmp_, full, until, monkeypatch):
+        measured = count_measure_point(monkeypatch)
+        stop = max(first_inverted(full.points, m) for m in until)
+        result = cmp_.sweep(self.RATES, until=until)
+        assert result.points == full.points[: stop + 1]
+        assert len(result.points) == stop + 1
+        assert measured == self.RATES[: stop + 1]
+        for metric in until:
+            assert result.crossover_rate(metric) == full.crossover_rate(metric)
+            assert result.crossover_utilization(metric) == full.crossover_utilization(metric)
+        assert cmp_.sweep(self.RATES, until=until, workers=2).points == result.points
+
+    def test_never_inverted_measures_every_rate(self, monkeypatch):
+        measured = count_measure_point(monkeypatch)
+        cmp_ = EdgeCloudComparator(DISTANT_CLOUD, requests_per_site=1000, seed=3)
+        rates = [DISTANT_CLOUD.rate_for_utilization(u) for u in (0.1, 0.2, 0.3)]
+        result = cmp_.sweep(rates, until=("mean", "p95"))
+        assert measured == rates
+        assert result.points == cmp_.sweep(rates).points
+        assert result.crossover_rate("mean") is None
+
+    def test_inverted_at_first_rate_returns_one_point(self, monkeypatch):
+        measured = count_measure_point(monkeypatch)
+        cmp_ = EdgeCloudComparator(TYPICAL_CLOUD, requests_per_site=1000, seed=3)
+        rates = [TYPICAL_CLOUD.rate_for_utilization(u) for u in (0.9, 0.92, 0.94)]
+        result = cmp_.sweep(rates, until=("mean", "p95"))
+        assert len(result.points) == 1 and measured == rates[:1]
+        assert result.crossover_rate("mean") == rates[0]
+
+    def test_failed_point_raises_its_own_error(self, monkeypatch):
+        def fail(self, rate_per_site, seed_offset=0):
+            raise RuntimeError(f"point {seed_offset} failed")
+
+        monkeypatch.setattr(EdgeCloudComparator, "measure_point", fail)
+        cmp_ = EdgeCloudComparator(TYPICAL_CLOUD, requests_per_site=1000, seed=3)
+        with pytest.raises(RuntimeError, match="point 0 failed"):
+            cmp_.sweep(self.RATES, until=("mean",))
+
+    def test_unknown_metric_rejected_before_measuring(self, monkeypatch):
+        measured = count_measure_point(monkeypatch)
+        cmp_ = EdgeCloudComparator(TYPICAL_CLOUD, requests_per_site=1000, seed=3)
+        with pytest.raises(ValueError, match=r"until names unknown metrics \['p97'\]"):
+            cmp_.sweep(self.RATES, until=("mean", "p97"))
+        with pytest.raises(ValueError, match="unknown metrics"):
+            cmp_.find_crossover("median")
+        assert measured == []
 
 
 class TestPrediction:
@@ -167,6 +275,8 @@ class TestValidationArgs:
             EdgeCloudComparator(TYPICAL_CLOUD, requests_per_site=10)
         with pytest.raises(ValueError):
             EdgeCloudComparator(TYPICAL_CLOUD, arrival_cv2=-1.0)
+        with pytest.raises(ValueError, match="arrival_cv2 must be finite and >= 0, got nan"):
+            EdgeCloudComparator(TYPICAL_CLOUD, arrival_cv2=float("nan"))
         with pytest.raises(ValueError):
             EdgeCloudComparator(TYPICAL_CLOUD, warmup_fraction=1.0)
         with pytest.raises(ValueError):

@@ -16,6 +16,7 @@ from repro.experiments.store import (
 from repro.parallel import run_tasks
 from repro.parallel.chaos import synthetic_point
 from repro.stats.replications import replicate
+from tests.core.test_comparator import count_measure_point
 
 
 def _mean_stat(seed):
@@ -206,6 +207,28 @@ class TestCheckpointResumeBitIdentity:
         path = tmp_path / "sweep.journal"
         cmp_.sweep(self.RATES[1:3], checkpoint=path)
         resumed = cmp_.sweep(self.RATES, workers=3, checkpoint=path)
+        assert resumed.points == baseline.points
+
+    def test_full_sweep_journal_replays_into_until_sweep(self, tmp_path, monkeypatch):
+        cmp_ = self._comparator()
+        path = tmp_path / "sweep.journal"
+        full = cmp_.sweep(self.RATES, checkpoint=path)
+        measured = count_measure_point(monkeypatch)
+        stopped = cmp_.sweep(self.RATES, until=("mean",), checkpoint=path, resume=True)
+        assert measured == []
+        assert 1 < len(stopped.points) < len(self.RATES)
+        assert stopped.points == full.points[: len(stopped.points)]
+        assert stopped.crossover_rate("mean") == full.crossover_rate("mean")
+
+    def test_until_sweep_journal_resumes_a_full_sweep(self, tmp_path, monkeypatch):
+        cmp_ = self._comparator()
+        baseline = cmp_.sweep(self.RATES)
+        path = tmp_path / "sweep.journal"
+        kept = len(cmp_.sweep(self.RATES, until=("mean",), checkpoint=path).points)
+        assert kept < len(self.RATES)
+        measured = count_measure_point(monkeypatch)
+        resumed = cmp_.sweep(self.RATES, checkpoint=path, resume=True)
+        assert measured == list(self.RATES[kept:])
         assert resumed.points == baseline.points
 
     def test_differently_configured_comparators_never_collide(self, tmp_path):

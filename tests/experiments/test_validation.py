@@ -53,8 +53,9 @@ class TestValidationTable:
         path = str(tmp_path / "v.journal")
         checkpointed = validation_table(dataclasses.replace(small, checkpoint=path))
         with open(path) as fh:
-            # A header, then 12 sweep points for each of the two anchors.
-            assert len(fh.read().splitlines()) == 1 + 2 * 12
+            # A header, then each anchor's sweep points up to its mean
+            # crossover, where find_crossover stops: 7 and 10 of 12.
+            assert len(fh.read().splitlines()) == 1 + 7 + 10
         resumed = validation_table(
             dataclasses.replace(small, checkpoint=path, resume=True)
         )

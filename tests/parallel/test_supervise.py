@@ -1,5 +1,6 @@
 """Tests for the supervised executor: retries, timeouts, salvage, errors."""
 
+import multiprocessing
 import os
 import signal
 import subprocess
@@ -345,6 +346,36 @@ class TestWorkerReuse:
             with pytest.raises(ValueError, match="poisoned task 2"):
                 run_tasks(fail_on, [(i, 2) for i in range(4)], workers=1,
                           journal=journal)
+
+
+class _StopRun(Exception):
+    pass
+
+
+class TestCallbackStopsTheRun:
+    """An ``on_result`` exception stops the run (``sweep(until=)`` relies on it)."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_raise_at_third_result(self, tmp_path, workers):
+        settled = []
+
+        def stop_at_third(outcome):
+            settled.append(outcome.index)
+            if len(settled) == 3:
+                raise _StopRun
+
+        tasks = [(i, 0.05) for i in range(8)]
+        path = tmp_path / "stop.journal"
+        with RunJournal(path, scope="stop") as journal:
+            with pytest.raises(_StopRun):
+                run_tasks(slow_square, tasks, workers=workers, journal=journal,
+                          on_result=stop_at_third)
+        assert multiprocessing.active_children() == []
+        with RunJournal(path, scope="stop") as journal:
+            assert len(journal) == 3
+            for i in settled:
+                assert journal.key(label="task", index=i, args=tasks[i],
+                                   fn=slow_square) in journal
 
 
 class TestConcurrentRuns:

@@ -47,7 +47,6 @@ class TestExponential:
         assert d.mean == 0.5
         assert d.variance == 0.25
         assert d.cv2 == pytest.approx(1.0)
-        assert d.rate == pytest.approx(2.0)
 
     def test_sample_mean_converges(self):
         d = Exponential(2.0)
