@@ -189,6 +189,7 @@ def _run_one(spec: ScenarioSpec, kind: str, seed: int,
     # task sees a failure and (deterministically) quarantines the
     # scenario after its bounded retries.
     sim.run(max_events=max_events)
+    deployment.detach()  # nothing outlives this call but the metrics
 
     log = target.log if target is not deployment else deployment.log
     bd = log.breakdown().after(spec.duration * spec.warmup_fraction)

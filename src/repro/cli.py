@@ -41,6 +41,7 @@ CI — results are unchanged, only failures become loud.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import replace
@@ -477,6 +478,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     if getattr(args, "workers", None) is not None and args.workers < 1:
         parser.error(f"--workers must be >= 1, got {args.workers}")
+    window = getattr(args, "telemetry_window", None)
+    if window is not None and not 0 < window < math.inf:
+        parser.error(f"--telemetry-window must be finite and > 0, got {window}")
     if getattr(args, "resume", False):
         if not getattr(args, "checkpoint", None):
             parser.error("--resume requires --checkpoint PATH")

@@ -87,12 +87,12 @@ class WindowedCollector:
     Parameters
     ----------
     dt:
-        Window length in virtual seconds.
+        Window length in virtual seconds; finite and positive.
     """
 
     def __init__(self, dt: float = 1.0):
-        if dt <= 0:
-            raise ValueError(f"dt must be > 0, got {dt}")
+        if not 0 < dt < math.inf:
+            raise ValueError(f"dt must be finite and > 0, got {dt}")
         self.dt = float(dt)
         #: End-to-end latency of every served request, in completion order.
         self.latencies = array("d")

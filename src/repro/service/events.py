@@ -14,11 +14,17 @@ Design constraints:
   after eviction see a ``truncated`` marker event rather than silently
   missing records.  Lifecycle events are few; telemetry windows
   dominate and are safe to age out.
+* **Stored as sent.**  Each event is kept as its encoded SSE frame,
+  serialized once when published, and every reader writes those same
+  bytes.  A finished job's history lives as long as the server, and
+  its frames take well under half the memory of the events' nested
+  dicts (``docs/service.md`` has the numbers).
 * **Stdlib only.**  A list, a ``threading.Condition``, nothing else.
 """
 
 from __future__ import annotations
 
+import json
 import threading
 from typing import Any
 
@@ -28,14 +34,20 @@ __all__ = ["EventBus"]
 DEFAULT_HISTORY_LIMIT = 10_000
 
 
+def _frame(event: dict[str, Any]) -> bytes:
+    """One event as its Server-Sent Events frame (``event:`` + ``data:``)."""
+    name = event.get("event", "message")
+    return f"event: {name}\ndata: {json.dumps(event, sort_keys=True)}\n\n".encode()
+
+
 class EventBus:
-    """Append-only, bounded event log with blocking cursor reads."""
+    """Append-only, bounded log of SSE frames with blocking cursor reads."""
 
     def __init__(self, history_limit: int = DEFAULT_HISTORY_LIMIT):
         if history_limit < 1:
             raise ValueError(f"history_limit must be >= 1, got {history_limit}")
         self._limit = history_limit
-        self._events: list[dict[str, Any]] = []
+        self._events: list[bytes] = []
         #: Sequence number of self._events[0] (grows as old events evict).
         self._base = 0
         self._closed = False
@@ -47,11 +59,18 @@ class EventBus:
             return self._closed
 
     def publish(self, event: dict[str, Any]) -> int:
-        """Append one event; returns its sequence number."""
+        """Append one event as its SSE frame; returns its sequence number.
+
+        The event is serialized here, in the publishing thread (a job's
+        worker), so an event that ``json`` cannot encode raises
+        ``TypeError`` or ``ValueError`` to the publisher and leaves the
+        history unchanged.
+        """
+        frame = _frame(event)
         with self._cond:
             if self._closed:
                 raise RuntimeError("EventBus is closed")
-            self._events.append(event)
+            self._events.append(frame)
             seq = self._base + len(self._events) - 1
             overflow = len(self._events) - self._limit
             if overflow > 0:
@@ -68,24 +87,26 @@ class EventBus:
 
     def read(
         self, cursor: int, timeout: float | None = None
-    ) -> tuple[list[dict[str, Any]], int, bool]:
-        """Events at sequence >= ``cursor``; blocks up to ``timeout``.
+    ) -> tuple[list[bytes], int, bool]:
+        """SSE frames of the events at sequence >= ``cursor``.
 
-        Returns ``(events, next_cursor, closed)``.  An empty ``events``
+        Blocks up to ``timeout`` while there is nothing to return.
+        Returns ``(frames, next_cursor, closed)``.  An empty ``frames``
         with ``closed=False`` is a timeout (SSE readers emit a heartbeat
         and poll again); with ``closed=True`` the stream is over.  A
         cursor older than the retained window yields a single
-        ``{"event": "truncated"}`` marker before the surviving events.
+        ``{"event": "truncated", "dropped": n}`` frame before the
+        surviving ones.
         """
         with self._cond:
             if cursor >= self._base + len(self._events) and not self._closed:
                 self._cond.wait(timeout)
             truncated = cursor < self._base
             start = max(cursor, self._base)
-            events = list(self._events[start - self._base:])
+            frames = self._events[start - self._base:]
             if truncated:
-                events.insert(0, {
+                frames.insert(0, _frame({
                     "event": "truncated",
                     "dropped": self._base - cursor,
-                })
-            return events, self._base + len(self._events), self._closed
+                }))
+            return frames, self._base + len(self._events), self._closed

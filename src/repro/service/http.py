@@ -170,22 +170,18 @@ class _Handler(BaseHTTPRequestHandler):
         cursor = 0
         try:
             while True:
-                events, cursor, closed = job.events.read(
+                frames, cursor, closed = job.events.read(
                     cursor, timeout=SSE_HEARTBEAT
                 )
-                for event in events:
-                    name = event.get("event", "message")
-                    data = json.dumps(event, sort_keys=True)
-                    self.wfile.write(
-                        f"event: {name}\ndata: {data}\n\n".encode()
-                    )
-                if closed and not events:
+                if frames:
+                    self.wfile.write(b"".join(frames))
+                elif closed:
                     self.wfile.write(
                         b'event: stream-closed\ndata: {"event": "stream-closed"}\n\n'
                     )
                     self.wfile.flush()
                     return
-                if not events:
+                else:
                     self.wfile.write(b": heartbeat\n\n")
                 self.wfile.flush()
         except (BrokenPipeError, ConnectionResetError):

@@ -27,6 +27,7 @@ bridged onto the same bus via a thread-local exporter.
 from __future__ import annotations
 
 import json
+import math
 import queue
 import threading
 import time
@@ -112,8 +113,9 @@ class JobManager:
     telemetry_window:
         When set (and ``workers == 1``), every simulation a job builds
         streams windowed telemetry onto the job's event bus with this
-        window (virtual seconds).  Incompatible with ``workers > 1`` —
-        :class:`repro.obs.provider.TelemetryFanoutError` at start.
+        window (virtual seconds, finite and positive).  Incompatible with
+        ``workers > 1`` — :class:`repro.obs.provider.TelemetryFanoutError`
+        at start.
     telemetry_path:
         Optional JSON-lines file receiving a copy of every telemetry
         record across all jobs (the ``repro serve --telemetry PATH``
@@ -131,6 +133,12 @@ class JobManager:
     ):
         if pool < 1:
             raise ValueError(f"pool must be >= 1, got {pool}")
+        if telemetry_window is not None and not 0 < telemetry_window < math.inf:
+            raise ValueError(
+                f"telemetry_window must be finite and > 0, got {telemetry_window}"
+            )
+        if telemetry_path is not None and telemetry_window is None:
+            raise ValueError("telemetry_path requires telemetry_window")
         self.state_dir = None if state_dir is None else Path(state_dir)
         self.pool = pool
         self.workers = workers

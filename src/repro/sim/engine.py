@@ -184,16 +184,20 @@ class Simulation:
         Raises
         ------
         ValueError
-            If ``delay`` is negative (events cannot run in the past).
+            If ``delay`` is negative (events cannot run in the past) or
+            NaN (it would corrupt the calendar's order).
         """
-        if delay < 0:
+        if not delay >= 0:
             raise ValueError(f"delay must be >= 0, got {delay}")
         heappush(self._heap, (self.now + delay, next(self._seq), callback, args))
 
     def schedule_at(self, time: float, callback: Callable[..., None], *args: Any) -> None:
-        """Schedule ``callback(*args)`` at absolute virtual ``time``."""
-        if time < self.now:
-            raise ValueError(f"cannot schedule at {time} < now ({self.now})")
+        """Schedule ``callback(*args)`` at absolute virtual ``time``.
+
+        Raises ``ValueError`` if ``time`` is before ``now`` or NaN.
+        """
+        if not time >= self.now:
+            raise ValueError(f"time must be >= now ({self.now}), got {time}")
         heappush(self._heap, (time, next(self._seq), callback, args))
 
     def schedule_batch(
@@ -211,7 +215,7 @@ class Simulation:
         heap = self._heap
         seq = self._seq
         for delay in delays:
-            if delay < 0:
+            if not delay >= 0:
                 raise ValueError(f"delay must be >= 0, got {delay}")
             heappush(heap, (now + delay, next(seq), callback, args))
 

@@ -129,13 +129,7 @@ def run_deployment(
 
     sim.run()  # drain: sources stop at `duration` or their trace's end
     breakdown = deployment.log.breakdown().after(duration * warmup_fraction)
-    # The station callbacks are bound methods of the deployment, a
-    # reference cycle that would keep the finished topology and its
-    # RequestLog buffer alive until a full cyclic collection.  Nothing
-    # outlives this call but the breakdown, so unhook them and let
-    # reference counting free the deployment on return.
-    for station in deployment.stations:
-        station.on_departure = station.on_refuse = None
+    deployment.detach()  # nothing outlives this call but the breakdown
     return breakdown
 
 

@@ -90,6 +90,21 @@ class Deployment:
             station.on_departure = self._on_departure
             station.on_refuse = self._on_refuse
 
+    def detach(self) -> None:
+        """Unhook this finished deployment from its stations and client.
+
+        The stations' callbacks are bound methods of the deployment,
+        and a client's ``on_complete`` hook refers to a client that
+        holds the deployment: reference cycles that would keep the
+        topology and its :class:`RequestLog` buffer alive until a full
+        cyclic collection.  Once the run is over and nothing will
+        schedule again, unhooking them lets reference counting free the
+        deployment as soon as its caller drops it.
+        """
+        for station in self.stations:
+            station.on_departure = station.on_refuse = None
+        self.on_complete = None
+
     def cancel(self, request: Request) -> bool:
         """Best-effort cancellation of a queued request (client timeout)."""
         return any(station.cancel(request) for station in self.stations)

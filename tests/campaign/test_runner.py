@@ -1,9 +1,12 @@
 """Campaign runner: budgets, quarantine, resume, stats, golden diffs."""
 
+import gc
 import json
+import weakref
 
 import pytest
 
+import repro.campaign.executor as executor
 from repro.campaign import (
     GoldenTolerance,
     campaign_stats,
@@ -81,6 +84,38 @@ class TestQuarantine:
         assert len(env.tables["scenarios"]) == 2
         assert env.metadata["fingerprint"] == result.fingerprint()
         assert "2 scenario(s) ok" in env.text
+
+
+class TestFinishedTopologyIsFreed:
+    @pytest.mark.parametrize("resilience", ["none", "retry+breaker"])
+    def test_deployments_unreachable_without_cyclic_gc(self, resilience, monkeypatch):
+        """Only the metrics outlive a scenario: both deployments, with or
+        without a resilient client hooked onto them, are freed by
+        reference counting alone."""
+        built = []
+        for name in ("EdgeDeployment", "CloudDeployment"):
+            base = getattr(executor, name)
+
+            class Tracked(base):
+                def __init__(self, *args, **kwargs):
+                    super().__init__(*args, **kwargs)
+                    built.append(weakref.ref(self))
+
+            monkeypatch.setattr(executor, name, Tracked)
+        scenario = {"name": "s", "utilization": 0.5, "resilience": resilience}
+        if resilience != "none":
+            scenario.update(client_timeout=1.5, max_attempts=3)
+        (spec,) = compile_campaign(tiny_doc(scenarios=[scenario])).scenarios
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            run = executor.run_scenario(spec)
+            assert run.metrics["edge_count"] > 0 and run.metrics["cloud_count"] > 0
+            assert len(built) == 2
+            assert [ref() for ref in built] == [None, None]
+        finally:
+            if was_enabled:
+                gc.enable()
 
 
 class TestResume:

@@ -7,6 +7,7 @@ mid-campaign and a restarted one must resume from its journal to the
 same fingerprint.
 """
 
+import contextlib
 import json
 import os
 import re
@@ -21,6 +22,7 @@ from pathlib import Path
 
 import pytest
 
+import repro.service.jobs as jobs
 from repro.campaign import compile_campaign, run_campaign
 from repro.obs import validate_record
 from repro.service import CampaignJob, EventBus, JobManager, create_server
@@ -57,17 +59,41 @@ def wait_until(predicate, timeout=60.0, interval=0.05):
 # ---------------------------------------------------------------------------
 
 
+#: The frame every SSE stream ends with once its job's bus is closed.
+STREAM_CLOSED = b'event: stream-closed\ndata: {"event": "stream-closed"}\n\n'
+
+
+def sse_frame(event):
+    """An event's SSE frame, encoded the way the handler always wrote it."""
+    name = event.get("event", "message")
+    data = json.dumps(event, sort_keys=True)
+    return f"event: {name}\ndata: {data}\n\n".encode()
+
+
+def decode(frames):
+    """The events carried by SSE frames, checking each frame's shape."""
+    events = []
+    for frame in frames:
+        name, data, *rest = frame.decode("utf-8").split("\n")
+        assert rest == ["", ""], frame
+        assert name.startswith("event: ") and data.startswith("data: "), frame
+        event = json.loads(data[len("data: "):])
+        assert name[len("event: "):] == event.get("event", "message"), frame
+        events.append(event)
+    return events
+
+
 class TestEventBus:
     def test_cursor_reads_see_everything_in_order(self):
         bus = EventBus()
         for i in range(5):
             bus.publish({"event": "e", "i": i})
-        events, cursor, closed = bus.read(0, timeout=0)
-        assert [e["i"] for e in events] == [0, 1, 2, 3, 4]
+        frames, cursor, closed = bus.read(0, timeout=0)
+        assert [e["i"] for e in decode(frames)] == [0, 1, 2, 3, 4]
         assert cursor == 5 and not closed
         bus.publish({"event": "e", "i": 5})
-        events, cursor, closed = bus.read(cursor, timeout=0)
-        assert [e["i"] for e in events] == [5]
+        frames, cursor, closed = bus.read(cursor, timeout=0)
+        assert [e["i"] for e in decode(frames)] == [5]
 
     def test_two_readers_see_identical_streams(self):
         bus = EventBus()
@@ -76,9 +102,9 @@ class TestEventBus:
         def reader(idx):
             cursor = 0
             while True:
-                events, cursor, closed = bus.read(cursor, timeout=5)
-                seen[idx].extend(events)
-                if closed and not events:
+                frames, cursor, closed = bus.read(cursor, timeout=5)
+                seen[idx].extend(frames)
+                if closed and not frames:
                     return
 
         threads = [threading.Thread(target=reader, args=(i,)) for i in (0, 1)]
@@ -89,14 +115,16 @@ class TestEventBus:
         bus.close()
         for t in threads:
             t.join(timeout=10)
+        assert not any(t.is_alive() for t in threads)
         assert seen[0] == seen[1]
-        assert [e["i"] for e in seen[0]] == list(range(20))
+        assert [e["i"] for e in decode(seen[0])] == list(range(20))
 
     def test_overflow_inserts_truncation_marker(self):
         bus = EventBus(history_limit=3)
         for i in range(10):
             bus.publish({"event": "e", "i": i})
-        events, _, _ = bus.read(0, timeout=0)
+        frames, _, _ = bus.read(0, timeout=0)
+        events = decode(frames)
         assert events[0]["event"] == "truncated"
         assert events[0]["dropped"] == 7
         assert [e["i"] for e in events[1:]] == [7, 8, 9]
@@ -106,6 +134,51 @@ class TestEventBus:
         bus.close()
         with pytest.raises(RuntimeError):
             bus.publish({"event": "e"})
+
+    def test_frames_are_the_per_event_encoding(self):
+        events = [
+            {"event": "scenario-finished", "scenario": "grid/rtt=typical",
+             "attempts": 1, "from_journal": False},
+            {"event": "telemetry-window",
+             "record": {"stations": {"edge-0": {"busy": 0.25, "queue": [1, 2]}},
+                        "p95": None, "label": "golden@abc"}},
+            {"event": "note", "text": "Zürich — 東京 ✓", "ms": 1e-3},
+            {"no": "event key", "nested": {"b": 2, "a": 1}},
+        ]
+        bus = EventBus()
+        for event in events:
+            bus.publish(event)
+        frames, _, _ = bus.read(0, timeout=0)
+        assert frames == [sse_frame(event) for event in events]
+        assert frames[-1].startswith(b"event: message\n")
+        assert decode(frames) == events
+
+    def test_truncation_marker_is_a_frame(self):
+        bus = EventBus(history_limit=3)
+        for i in range(10):
+            bus.publish({"event": "e", "i": i})
+        kept = [sse_frame({"event": "e", "i": i}) for i in (7, 8, 9)]
+        for cursor, dropped in ((0, 7), (5, 2)):
+            frames, next_cursor, _ = bus.read(cursor, timeout=0)
+            marker = sse_frame({"event": "truncated", "dropped": dropped})
+            assert frames == [marker, *kept]
+            assert next_cursor == 10
+        frames, _, _ = bus.read(7, timeout=0)
+        assert frames == kept
+
+    def test_unencodable_event_raises_in_publish(self):
+        bus = EventBus()
+        bus.publish({"event": "e", "i": 0})
+        cyclic = {"event": "e"}
+        cyclic["self"] = cyclic
+        with pytest.raises(TypeError):
+            bus.publish({"event": "e", "value": object()})
+        with pytest.raises(ValueError):
+            bus.publish(cyclic)
+        frames, cursor, closed = bus.read(0, timeout=0)
+        assert frames == [sse_frame({"event": "e", "i": 0})]
+        assert cursor == 1 and not closed
+        assert bus.publish({"event": "e", "i": 1}) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -196,6 +269,15 @@ class TestJobManager:
         assert issubclass(TelemetryFanoutError, ValueError)
         assert issubclass(TelemetryFanoutError, RuntimeError)
 
+    @pytest.mark.parametrize("window", [0.0, -1.0, float("nan"), float("inf")])
+    def test_bad_telemetry_window_refused(self, window):
+        with pytest.raises(ValueError, match="telemetry_window must be finite and > 0"):
+            JobManager(pool=1, telemetry_window=window)
+
+    def test_telemetry_path_requires_window(self, tmp_path):
+        with pytest.raises(ValueError, match="telemetry_path requires telemetry_window"):
+            JobManager(pool=1, telemetry_path=str(tmp_path / "t.jsonl"))
+
     def test_validation_error_propagates(self):
         from repro.campaign import CampaignValidationError
 
@@ -223,18 +305,26 @@ def test_run_campaign_refuses_installed_telemetry_with_fanout():
 # ---------------------------------------------------------------------------
 
 
-@pytest.fixture()
-def server():
-    mgr = JobManager(pool=1, telemetry_window=2.0)
+@contextlib.contextmanager
+def serving(mgr):
+    """An in-process server around ``mgr``; yields its base URL."""
     srv = create_server("127.0.0.1", 0, mgr)
     thread = threading.Thread(target=srv.serve_forever, daemon=True)
     thread.start()
     host, port = srv.server_address[:2]
-    yield f"http://{host}:{port}"
-    srv.shutdown()
-    thread.join(timeout=10)
-    srv.server_close()
-    mgr.stop()
+    try:
+        yield f"http://{host}:{port}"
+    finally:
+        srv.shutdown()
+        thread.join(timeout=10)
+        srv.server_close()
+        mgr.stop()
+
+
+@pytest.fixture()
+def server():
+    with serving(JobManager(pool=1, telemetry_window=2.0)) as url:
+        yield url
 
 
 def http_get(url):
@@ -333,6 +423,41 @@ class TestHTTP:
 
         status, body = http_get(server + "/v1/campaigns")
         assert status == 200 and len(body["jobs"]) == 1
+
+    def test_late_reader_receives_the_live_readers_bytes(self, monkeypatch):
+        """A golden job's stream is the same bytes for a reader attached
+        before the campaign ran and one attached after the job closed:
+        the bus's frames, joined, then ``stream-closed``."""
+        from repro.campaign.loader import parse_document
+
+        pytest.importorskip("yaml")  # the golden campaign is a YAML file
+        text = (REPO / "scenarios" / "golden" / "campaign.yaml").read_text(encoding="utf-8")
+        doc, _ = parse_document(text, fmt="yaml")
+        attached = threading.Event()
+        run = jobs.run_campaign
+
+        def run_once_attached(*args, **kwargs):
+            assert attached.wait(60), "the live reader never attached"
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(jobs, "run_campaign", run_once_attached)
+        mgr = JobManager(pool=1, telemetry_window=5.0)
+        with serving(mgr) as url:
+            status, body = http_post(url + "/v1/campaigns", doc)
+            assert status == 201
+            events_url = url + f"/v1/campaigns/{body['id']}/events"
+            with urllib.request.urlopen(events_url, timeout=120) as resp:
+                live = b"".join(resp.readline() for _ in range(3))
+                attached.set()  # campaign-started arrived; now run the campaign
+                live += resp.read()
+            with urllib.request.urlopen(events_url, timeout=120) as resp:
+                late = resp.read()
+            frames, _, closed = mgr.get(body["id"]).events.read(0, timeout=0)
+        assert closed
+        assert live == late == b"".join(frames) + STREAM_CLOSED
+        names = [event["event"] for event in decode(frames)]
+        assert names[0] == "campaign-started" and names[-1] == "campaign-finished"
+        assert "telemetry-window" in names
 
     def test_malformed_bodies_rejected(self, server):
         status, body = http_post(server + "/v1/campaigns", [1, 2, 3])

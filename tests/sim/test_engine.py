@@ -35,6 +35,15 @@ class TestScheduling:
         sim = Simulation(0)
         with pytest.raises(ValueError):
             sim.schedule(-1.0, lambda: None)
+        # NaN compares false both ways: it must not slip into the
+        # calendar, where it would scramble the order of later events.
+        nan = float("nan")
+        with pytest.raises(ValueError, match="nan"):
+            sim.schedule(nan, lambda: None)
+        with pytest.raises(ValueError, match="nan"):
+            sim.schedule_at(nan, lambda: None)
+        with pytest.raises(ValueError, match="nan"):
+            sim.schedule_batch([1.0, nan], lambda: None)
 
     def test_schedule_in_past_rejected(self):
         sim = Simulation(0)

@@ -1,9 +1,13 @@
 """Tests for the command-line interface."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main
 from repro.experiments.result import ExperimentResult, available
+
+GOLDEN = Path(__file__).resolve().parents[1] / "scenarios" / "golden" / "campaign.yaml"
 
 
 class TestCliBasics:
@@ -97,6 +101,18 @@ class TestFlagNormalization:
         assert err.value.code == 2
         message = capsys.readouterr().err
         assert "--telemetry and --workers are mutually exclusive" in message
+
+    @pytest.mark.parametrize("window", ["nan", "0", "-1", "inf"])
+    def test_bad_telemetry_window_is_a_usage_error(self, window, tmp_path, capsys):
+        out = tmp_path / "t.jsonl"
+        with pytest.raises(SystemExit) as err:
+            main([
+                "campaign", str(GOLDEN),
+                "--telemetry", str(out), "--telemetry-window", window,
+            ])
+        assert err.value.code == 2
+        assert "--telemetry-window must be finite and > 0" in capsys.readouterr().err
+        assert not out.exists()  # rejected before anything ran
 
     def test_campaign_accepts_common_flags(self, capsys):
         # --workers/--checkpoint/--resume/--telemetry all parse on

@@ -280,6 +280,15 @@ class TestEnablement:
         np.testing.assert_array_equal(baseline.wait, observed.wait)
         np.testing.assert_array_equal(baseline.network, observed.network)
 
+    @pytest.mark.parametrize("dt", [0.0, -1.0, float("nan"), float("inf")])
+    def test_window_must_be_finite_and_positive(self, dt):
+        # A NaN window would schedule its tick at NaN and scramble the
+        # calendar, so telemetry would change the run it observes.
+        with pytest.raises(ValueError, match="dt must be finite and > 0"):
+            WindowedCollector(dt)
+        with pytest.raises(ValueError, match="dt must be finite and > 0"):
+            obs.Telemetry(window=dt)
+
     def test_nothing_installed_means_no_telemetry(self):
         from repro.sim.engine import Simulation
 
